@@ -455,16 +455,18 @@ let bechamel_tests () =
     Test.make ~name:"memshare-2-sandboxes"
       (Staged.stage (fun () -> ignore (Workloads.Eval.memshare ~max_sandboxes:2 ())))
   in
-  (* Telemetry record paths, 1000 records per run: the live log2
-     histogram sink vs the mergeable quantile sketch vs the full fleet
-     record (sketch + per-tenant sketch + heavy-hitter + exemplar). *)
-  let hist_obs = Obs.Emitter.create () in
-  let _hist = Obs.Histogram.attach hist_obs (Obs.Histogram.create ()) in
-  let hist_test =
-    Test.make ~name:"obs-histogram-record-1k"
+  (* Telemetry record paths, 1000 records per run: a per-kind sketch
+     family behind an emitter vs one bare sketch vs the full fleet record
+     (sketch + per-tenant sketch + heavy-hitter + exemplar). *)
+  let family_obs = Obs.Emitter.create () in
+  let _family =
+    Obs.Sketch.Family.attach family_obs (Obs.Sketch.Family.create ())
+  in
+  let family_test =
+    Test.make ~name:"obs-family-record-1k"
       (Staged.stage (fun () ->
            for i = 1 to 1000 do
-             Obs.Emitter.emit hist_obs Obs.Trace.Req_end ~ts:i
+             Obs.Emitter.emit family_obs Obs.Trace.Req_end ~ts:i
                ~arg:(i land 0xFFFF)
            done))
   in
@@ -488,7 +490,7 @@ let bechamel_tests () =
   in
   Test.make_grouped ~name:"erebor-eval"
     [ table3_test; table4_test; fig8_test; fig9_test; table6_test; fig10_test;
-      memshare_test; hist_test; sketch_test; agg_test ]
+      memshare_test; family_test; sketch_test; agg_test ]
 
 let run_bechamel () =
   let open Bechamel in
@@ -513,19 +515,32 @@ let run_bechamel () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* EMC latency histogram (observability subsystem)                     *)
+(* EMC latency sketches (observability subsystem)                      *)
 (* ------------------------------------------------------------------ *)
 
 let print_emchist () =
-  header "EMC latency histograms: drugbank under full Erebor (log2 buckets, cycles)";
+  header "EMC latency sketches: drugbank under full Erebor (1% buckets, cycles)";
   let obs = Obs.Emitter.create () in
-  let hist = Obs.Histogram.attach obs (Obs.Histogram.create ()) in
+  let family = Obs.Sketch.Family.attach obs (Obs.Sketch.Family.create ()) in
   let m = Sim.Machine.create ~obs ~setting:Sim.Config.Erebor_full () in
   let spec_fn = List.assoc "drugbank" Workloads.Eval.all_programs in
   ignore (Sim.Machine.run m (spec_fn ()));
   let report kind =
-    if Obs.Histogram.count hist kind > 0 then
-      Fmt.pr "%a@." Obs.Histogram.pp (hist, kind)
+    let sk = Obs.Sketch.Family.get family kind in
+    if Obs.Sketch.count sk > 0 then begin
+      let q p = Obs.Sketch.quantile sk ~p in
+      Fmt.pr "%s: n=%d mean=%.0f max=%d p50=%d p95=%d p99=%d@."
+        (Obs.Trace.name kind) (Obs.Sketch.count sk) (Obs.Sketch.mean sk)
+        (Obs.Sketch.max_value sk) (q 0.50) (q 0.95) (q 0.99);
+      let rows = Obs.Sketch.buckets sk in
+      let widest = List.fold_left (fun acc (_, c) -> max acc c) 1 rows in
+      List.iter
+        (fun (i, c) ->
+          Fmt.pr "  ~%8d %8d %s@." (Obs.Sketch.estimate sk i) c
+            (String.make (max 1 (c * 40 / widest)) '#'))
+        rows;
+      Fmt.pr "@."
+    end
   in
   List.iter report
     [
@@ -930,7 +945,7 @@ let () =
           print_ablations ());
       target "tables-qual" "Qualitative tables (1, 2, 7)" (fun _ ->
           print_tables_qual ());
-      target "emchist" "EMC latency histograms" (fun _ -> print_emchist ());
+      target "emchist" "EMC latency sketches" (fun _ -> print_emchist ());
       target "attrib" ~flags:(exp_flags @ [ smoke_flag ])
         "Domain x phase cycle attribution (conservation-checked)" (fun _ ->
           print_attrib ());

@@ -149,7 +149,7 @@ let run_body p =
           Some chain
     in
     (* Live telemetry: a sliding window over the machine's event stream
-       (attached pre-boot via [~window]), machine-level SLOs with generous
+       (attached pre-boot), machine-level SLOs with generous
        ceilings — a healthy run must stay silent — and a health watchdog
        fed by the same emitter. The dashboard repaints on a virtual-time
        cadence and the final snapshot is written by an emitter finalizer,
@@ -201,7 +201,8 @@ let run_body p =
           Some (slo, health, window)
       | _ -> None
     in
-    let m = Sim.Machine.create ~obs ?window ~setting () in
+    Option.iter (fun w -> ignore (Obs.Window.attach obs w)) window;
+    let m = Sim.Machine.create ~obs ~setting () in
     (match (dash_file, dash) with
     | Some path, Some (slo, health, window) ->
         let subject =
@@ -297,8 +298,8 @@ let flame_flag =
 
 let metrics_flag =
   C.flag ~docv:"FILE" [ "--metrics" ]
-    "Write counters, latency histograms and cycle attribution as Prometheus \
-     text exposition (or JSON when FILE ends in .json)."
+    "Write counters, per-kind latency sketches and cycle attribution as \
+     Prometheus text exposition (or JSON when FILE ends in .json)."
 
 let profile_body p =
   let name, spec_fn = get_workload p in
@@ -307,7 +308,7 @@ let profile_body p =
   let metrics = C.str p metrics_flag in
   let obs = Obs.Emitter.create () in
   let counters = Obs.Counter.attach obs (Obs.Counter.create ()) in
-  let hist = Obs.Histogram.attach obs (Obs.Histogram.create ()) in
+  let family = Obs.Sketch.Family.attach obs (Obs.Sketch.Family.create ()) in
   let attrib = Obs.Attrib.attach obs (Obs.Attrib.create ()) in
   (* The attribution context tree must be closed before export; doing it
      through the finalizer registry means the exception path below flushes
@@ -326,8 +327,7 @@ let profile_body p =
     | None -> ()
     | Some path ->
         let reg = Obs.Metrics.create () in
-        Obs.Metrics.add reg ~label:name ~counter:counters ~histogram:hist
-          ~attrib ();
+        Obs.Metrics.add reg ~label:name ~counter:counters ~family ~attrib ();
         let rendered =
           if Filename.check_suffix path ".json" then Obs.Metrics.to_json reg
           else Obs.Metrics.to_prometheus reg
@@ -644,7 +644,7 @@ let group_flag =
 
 let query_cmd =
   C.cmd ~name:"query"
-    ~doc:"Filter + group-by over a journal: counts, sums, log2 percentiles"
+    ~doc:"Filter + group-by over a journal: counts, sums, sketch percentiles"
     ~flags:[ kind_flag; machine_flag; sandbox_flag; from_flag; to_flag; group_flag ]
     (fun p ->
       let path = journal_file p in

@@ -196,67 +196,60 @@ let serialize t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "EAG1";
   Buffer.add_int64_be buf (Int64.bits_of_float t.alpha);
-  Sketch_wire.put_varint buf t.sketch_capacity;
-  Sketch_wire.put_varint buf (List.length t.machines);
-  List.iter (Sketch_wire.put_string buf) t.machines;
-  Sketch_wire.put_varint buf Trace.n_kinds;
-  Array.iter (Sketch_wire.put_varint buf) t.counts;
-  Array.iter (Sketch_wire.put_signed buf) t.arg_sums;
-  Sketch_wire.put_string buf (Sketch.serialize t.latency);
-  Sketch_wire.put_varint buf (List.length t.tenants);
+  Wire.add_uvarint buf t.sketch_capacity;
+  Wire.add_uvarint buf (List.length t.machines);
+  List.iter (Wire.add_string buf) t.machines;
+  Wire.add_uvarint buf Trace.n_kinds;
+  Array.iter (Wire.add_uvarint buf) t.counts;
+  Array.iter (Wire.add_svarint buf) t.arg_sums;
+  Wire.add_string buf (Sketch.serialize t.latency);
+  Wire.add_uvarint buf (List.length t.tenants);
   List.iter
     (fun (n, s) ->
-      Sketch_wire.put_string buf n;
-      Sketch_wire.put_string buf (Sketch.serialize s))
+      Wire.add_string buf n;
+      Wire.add_string buf (Sketch.serialize s))
     t.tenants;
-  Sketch_wire.put_string buf (Topk.serialize t.topk);
-  Sketch_wire.put_string buf (Exemplar.serialize t.exemplars);
+  Wire.add_string buf (Topk.serialize t.topk);
+  Wire.add_string buf (Exemplar.serialize t.exemplars);
   Buffer.contents buf
 
 let deserialize s =
   try
     if String.length s < 12 || String.sub s 0 4 <> "EAG1" then
-      raise (Sketch_wire.Bad "agg: bad magic");
+      raise (Wire.Bad "agg: bad magic");
     let alpha = Int64.float_of_bits (String.get_int64_be s 4) in
     let pos = ref 12 in
-    let sketch_capacity = Sketch_wire.get_varint s pos in
-    let n_m = Sketch_wire.get_varint s pos in
+    let sketch_capacity = Wire.uvarint s pos in
+    let n_m = Wire.uvarint s pos in
     let machines =
-      List.init n_m (fun _ -> Sketch_wire.get_string s pos)
+      List.init n_m (fun _ -> Wire.string s pos)
     in
     if List.sort_uniq compare machines <> machines then
-      raise (Sketch_wire.Bad "agg: machines not sorted");
-    let nk = Sketch_wire.get_varint s pos in
+      raise (Wire.Bad "agg: machines not sorted");
+    let nk = Wire.uvarint s pos in
     if nk <> Trace.n_kinds then
-      raise (Sketch_wire.Bad "agg: kind-count mismatch");
-    let counts = Array.init nk (fun _ -> Sketch_wire.get_varint s pos) in
-    let arg_sums = Array.init nk (fun _ -> Sketch_wire.get_signed s pos) in
-    let sketch_of blob =
-      match Sketch.deserialize blob with
-      | Result.Ok sk -> sk
-      | Result.Error e -> raise (Sketch_wire.Bad e)
+      raise (Wire.Bad "agg: kind-count mismatch");
+    let counts = Array.init nk (fun _ -> Wire.uvarint s pos) in
+    let arg_sums = Array.init nk (fun _ -> Wire.svarint s pos) in
+    (* A length-prefixed blob in one of the component formats. *)
+    let nested deserialize =
+      match deserialize (Wire.string s pos) with
+      | Result.Ok v -> v
+      | Result.Error e -> raise (Wire.Bad e)
     in
-    let latency = sketch_of (Sketch_wire.get_string s pos) in
-    let n_t = Sketch_wire.get_varint s pos in
+    let latency = nested Sketch.deserialize in
+    let n_t = Wire.uvarint s pos in
     let tenants =
       List.init n_t (fun _ ->
-          let n = Sketch_wire.get_string s pos in
-          (n, sketch_of (Sketch_wire.get_string s pos)))
+          let n = Wire.string s pos in
+          (n, nested Sketch.deserialize))
     in
     if List.sort (fun (a, _) (b, _) -> compare a b) tenants <> tenants then
-      raise (Sketch_wire.Bad "agg: tenants not sorted");
-    let topk =
-      match Topk.deserialize (Sketch_wire.get_string s pos) with
-      | Result.Ok v -> v
-      | Result.Error e -> raise (Sketch_wire.Bad e)
-    in
-    let exemplars =
-      match Exemplar.deserialize (Sketch_wire.get_string s pos) with
-      | Result.Ok v -> v
-      | Result.Error e -> raise (Sketch_wire.Bad e)
-    in
+      raise (Wire.Bad "agg: tenants not sorted");
+    let topk = nested Topk.deserialize in
+    let exemplars = nested Exemplar.deserialize in
     if !pos <> String.length s then
-      raise (Sketch_wire.Bad "agg: trailing bytes");
+      raise (Wire.Bad "agg: trailing bytes");
     Result.Ok
       {
         alpha;
@@ -269,7 +262,7 @@ let deserialize s =
         topk;
         exemplars;
       }
-  with Sketch_wire.Bad e -> Result.Error e
+  with Wire.Bad e -> Result.Error e
 
 (* {2 Fleet panel} *)
 

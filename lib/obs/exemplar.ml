@@ -1,23 +1,35 @@
 (* Per-latency-band exemplar reservoir.
 
    A streaming sketch cannot know which requests will end up at p99, so
-   exemplars are kept per log2 latency band (same banding as
-   Histogram.bucket_of) and the band -> quantile mapping happens at read
-   time: the aggregator asks for the band containing its merged
-   quantile estimate and exports that band's exemplar. Each band keeps
-   the single "best" request under a total order (latency descending,
-   then trace id, machine, journal offset, timestamp ascending), so
-   keep-the-winner is idempotent, commutative and associative and the
-   merged reservoir is canonical for any merge order.
+   exemplars are kept per log2 latency band and the band -> quantile
+   mapping happens at read time: the aggregator asks for the band
+   containing its merged quantile estimate and exports that band's
+   exemplar. Each band keeps the single "best" request under a total
+   order (latency descending, then trace id, machine, journal offset,
+   timestamp ascending), so keep-the-winner is idempotent, commutative
+   and associative and the merged reservoir is canonical for any merge
+   order.
 
    The record path writes into preallocated mutable slots — no
    allocation in steady state (the machine name stored is the caller's
    existing string). *)
 
-let n_bands = Histogram.n_buckets
-let band_of = Histogram.bucket_of
-let band_lo = Histogram.bucket_lo
-let band_hi = Histogram.bucket_hi
+(* Band [b] holds latencies with [b] significant bits: band 0 is {<= 0},
+   band 1 is {1}, band 2 is {2, 3}, band 3 is {4..7}, ... One band per
+   bit keeps the reservoir at 63 slots; the sketch's 1% buckets would
+   need ~2150. *)
+let n_bands = 63
+
+let band_of v =
+  let b = ref 0 and v = ref (max v 0) in
+  while !v > 0 do
+    incr b;
+    v := !v lsr 1
+  done;
+  !b
+
+let band_lo b = if b <= 1 then b else 1 lsl (b - 1)
+let band_hi b = if b = 0 then 0 else (1 lsl b) - 1
 
 type slot = {
   mutable occupied : bool;
@@ -133,16 +145,16 @@ let serialize t =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "EXM1";
   let occ = List.length (items t) in
-  Sketch_wire.put_varint buf occ;
+  Wire.add_uvarint buf occ;
   Array.iteri
     (fun b (s : slot) ->
       if s.occupied then begin
-        Sketch_wire.put_varint buf b;
-        Sketch_wire.put_varint buf s.latency;
-        Sketch_wire.put_varint buf s.trace_id;
-        Sketch_wire.put_string buf s.machine;
-        Sketch_wire.put_signed buf s.offset;
-        Sketch_wire.put_signed buf s.ts
+        Wire.add_uvarint buf b;
+        Wire.add_uvarint buf s.latency;
+        Wire.add_uvarint buf s.trace_id;
+        Wire.add_string buf s.machine;
+        Wire.add_svarint buf s.offset;
+        Wire.add_svarint buf s.ts
       end)
     t.slots;
   Buffer.contents buf
@@ -150,27 +162,27 @@ let serialize t =
 let deserialize str =
   try
     if String.length str < 4 || String.sub str 0 4 <> "EXM1" then
-      raise (Sketch_wire.Bad "exemplar: bad magic");
+      raise (Wire.Bad "exemplar: bad magic");
     let pos = ref 4 in
-    let n = Sketch_wire.get_varint str pos in
+    let n = Wire.uvarint str pos in
     let t = create () in
     let prev = ref (-1) in
     for _ = 1 to n do
-      let b = Sketch_wire.get_varint str pos in
+      let b = Wire.uvarint str pos in
       if b <= !prev || b >= n_bands then
-        raise (Sketch_wire.Bad "exemplar: bands not ascending");
+        raise (Wire.Bad "exemplar: bands not ascending");
       prev := b;
       let s = t.slots.(b) in
       s.occupied <- true;
-      s.latency <- Sketch_wire.get_varint str pos;
-      s.trace_id <- Sketch_wire.get_varint str pos;
-      s.machine <- Sketch_wire.get_string str pos;
-      s.offset <- Sketch_wire.get_signed str pos;
-      s.ts <- Sketch_wire.get_signed str pos;
+      s.latency <- Wire.uvarint str pos;
+      s.trace_id <- Wire.uvarint str pos;
+      s.machine <- Wire.string str pos;
+      s.offset <- Wire.svarint str pos;
+      s.ts <- Wire.svarint str pos;
       if band_of s.latency <> b then
-        raise (Sketch_wire.Bad "exemplar: latency outside its band")
+        raise (Wire.Bad "exemplar: latency outside its band")
     done;
     if !pos <> String.length str then
-      raise (Sketch_wire.Bad "exemplar: trailing bytes");
+      raise (Wire.Bad "exemplar: trailing bytes");
     Result.Ok t
-  with Sketch_wire.Bad e -> Result.Error e
+  with Wire.Bad e -> Result.Error e

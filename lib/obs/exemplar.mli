@@ -1,8 +1,7 @@
-(** Tail-latency exemplar reservoir: per log2-latency band (the same
-    banding as {!Histogram.bucket_of}), the single slowest request seen,
-    carrying its {!Request} trace id, machine name, and — when a flight
-    recorder is attached — the {!Journal} byte offset of the frame
-    holding its request-end event. "p99 spiked" then resolves to a
+(** Tail-latency exemplar reservoir: per log2-latency band, the single
+    slowest request seen, carrying its {!Request} trace id, machine name,
+    and — when a flight recorder is attached — the {!Journal} byte offset
+    of the frame holding its request-end event. "p99 spiked" then resolves to a
     concrete replayable journaled request: the aggregator maps its
     merged quantile estimate to a band and exports that band's
     exemplar.
@@ -25,7 +24,8 @@ type item = {
 val n_bands : int
 
 val band_of : int -> int
-(** The band a latency lands in (= {!Histogram.bucket_of}). *)
+(** The band a latency lands in: its number of significant bits (0 for
+    a latency [<= 0]), so band [b] covers [[2^(b-1), 2^b - 1]]. *)
 
 val band_lo : int -> int
 val band_hi : int -> int

@@ -48,13 +48,6 @@ let crc_update crc buf off len =
 let crc_final crc = crc lxor 0xFFFFFFFF
 
 (* ------------------------------------------------------------------ *)
-(* Varints                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let zigzag n = (n lsl 1) lxor (n asr 62)
-let unzigzag n = (n lsr 1) lxor (- (n land 1))
-
-(* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -78,20 +71,6 @@ module Writer = struct
     mutable bytes_out : int; (* bytes flushed: next frame's file offset *)
     mutable closed : bool;
   }
-
-  let put_byte t b =
-    Bytes.unsafe_set t.buf t.pos (Char.unsafe_chr (b land 0xFF));
-    t.pos <- t.pos + 1
-
-  let put_uvarint t n =
-    let v = ref n in
-    while !v land lnot 0x7F <> 0 do
-      put_byte t (!v land 0x7F lor 0x80);
-      v := !v lsr 7
-    done;
-    put_byte t !v
-
-  let put_svarint t n = put_uvarint t (zigzag n)
 
   let u32le b off v =
     Bytes.set_uint8 b off (v land 0xFF);
@@ -119,20 +98,10 @@ module Writer = struct
   let seal t =
     if t.seg_events > 0 || t.pos > 0 then begin
       (* Prefix: base timestamp + event count, varint-encoded into the
-         header scratch via a tiny cursor. *)
-      let p = ref 0 in
-      let putb b = Bytes.set_uint8 t.hdr (8 + !p) b; incr p in
-      let putu n =
-        let v = ref n in
-        while !v land lnot 0x7F <> 0 do
-          putb (!v land 0x7F lor 0x80);
-          v := !v lsr 7
-        done;
-        putb !v
-      in
-      putu t.seg_base_ts;
-      putu t.seg_events;
-      write_frame t tag_segm [ (t.hdr, 8, !p); (t.buf, 0, t.pos) ];
+         header scratch after the frame header's 8 bytes. *)
+      let p = Wire.put_uvarint t.hdr 8 t.seg_base_ts in
+      let p = Wire.put_uvarint t.hdr p t.seg_events in
+      write_frame t tag_segm [ (t.hdr, 8, p - 8); (t.buf, 0, t.pos) ];
       t.segments <- t.segments + 1;
       t.pos <- 0;
       t.seg_events <- 0;
@@ -170,18 +139,7 @@ module Writer = struct
     (* HEAD: version, metadata, and the wire-name intern tables that make
        the file self-describing. *)
     let b = Buffer.create 512 in
-    let bputu n =
-      let v = ref n in
-      while !v land lnot 0x7F <> 0 do
-        Buffer.add_uint8 b (!v land 0x7F lor 0x80);
-        v := !v lsr 7
-      done;
-      Buffer.add_uint8 b !v
-    in
-    let bputs s =
-      bputu (String.length s);
-      Buffer.add_string b s
-    in
+    let bputu = Wire.add_uvarint b and bputs = Wire.add_string b in
     bputu 1 (* version *);
     bputu (List.length meta);
     List.iter (fun (k, v) -> bputs k; bputs v) meta;
@@ -204,24 +162,25 @@ module Writer = struct
         t.streams <- (machine, id) :: t.streams;
         (* Intern into the open segment; readers decode sequentially from
            the file start, so later segments may reference it freely. *)
-        put_byte t op_def_stream;
-        put_uvarint t id;
-        put_uvarint t (String.length machine);
-        String.iter (fun c -> put_byte t (Char.code c)) machine;
+        let p = Wire.put_byte t.buf t.pos op_def_stream in
+        let p = Wire.put_uvarint t.buf p id in
+        let p = Wire.put_uvarint t.buf p (String.length machine) in
+        Bytes.blit_string machine 0 t.buf p (String.length machine);
+        t.pos <- p + String.length machine;
         id
 
   let record t ~stream kind ~ts ~arg =
     if not t.closed then begin
       if stream <> t.cur_stream then begin
-        put_byte t op_set_stream;
-        put_uvarint t stream;
+        let p = Wire.put_byte t.buf t.pos op_set_stream in
+        t.pos <- Wire.put_uvarint t.buf p stream;
         t.cur_stream <- stream
       end;
       let k = Trace.index kind in
-      put_byte t k;
-      put_svarint t (ts - t.last_ts);
+      let p = Wire.put_byte t.buf t.pos k in
+      let p = Wire.put_svarint t.buf p (ts - t.last_ts) in
       t.last_ts <- ts;
-      put_svarint t (arg - Array.unsafe_get t.last_arg k);
+      t.pos <- Wire.put_svarint t.buf p (arg - Array.unsafe_get t.last_arg k);
       Array.unsafe_set t.last_arg k arg;
       t.seg_events <- t.seg_events + 1;
       t.events <- t.events + 1;
@@ -232,18 +191,11 @@ module Writer = struct
     if not t.closed then begin
       if now > t.last_ts then t.last_ts <- now;
       seal t;
-      let p = ref 0 in
-      let putb b = Bytes.set_uint8 t.hdr (8 + !p) b; incr p in
-      let putu n =
-        let v = ref n in
-        while !v land lnot 0x7F <> 0 do
-          putb (!v land 0x7F lor 0x80);
-          v := !v lsr 7
-        done;
-        putb !v
+      let p =
+        List.fold_left (Wire.put_uvarint t.hdr) 8
+          [ t.segments; t.events; t.last_ts; t.n_streams ]
       in
-      putu t.segments; putu t.events; putu t.last_ts; putu t.n_streams;
-      write_frame t tag_end [ (t.hdr, 8, !p) ];
+      write_frame t tag_end [ (t.hdr, 8, p - 8) ];
       t.closed <- true;
       close_out t.oc
     end
@@ -296,35 +248,6 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-(* Cursor over one frame payload. *)
-type cursor = { cbuf : Bytes.t; mutable cpos : int; clen : int; cwhat : string }
-
-let cbyte c =
-  if c.cpos >= c.clen then corrupt "%s: payload ends mid-record" c.cwhat;
-  let b = Bytes.get_uint8 c.cbuf c.cpos in
-  c.cpos <- c.cpos + 1;
-  b
-
-let cuvarint c =
-  let v = ref 0 and shift = ref 0 and cont = ref true in
-  while !cont do
-    let b = cbyte c in
-    if !shift > 62 then corrupt "%s: varint overflow" c.cwhat;
-    v := !v lor ((b land 0x7F) lsl !shift);
-    shift := !shift + 7;
-    cont := b land 0x80 <> 0
-  done;
-  !v
-
-let csvarint c = unzigzag (cuvarint c)
-
-let cstring c =
-  let len = cuvarint c in
-  if c.cpos + len > c.clen then corrupt "%s: string runs past payload" c.cwhat;
-  let s = Bytes.sub_string c.cbuf c.cpos len in
-  c.cpos <- c.cpos + len;
-  s
-
 (* Mutable decode state threaded across segments (the event stream is one
    continuous delta chain; segment headers only checkpoint it). *)
 type decode_state = {
@@ -336,25 +259,25 @@ type decode_state = {
   mutable d_segments : int;
 }
 
-let decode_segment st c ~off acc f =
-  let base_ts = cuvarint c in
-  let declared = cuvarint c in
+let decode_segment st s pos ~what ~off acc f =
+  let base_ts = Wire.uvarint s pos in
+  let declared = Wire.uvarint s pos in
   st.d_last_ts <- base_ts;
   let acc = ref acc in
   let n = ref 0 in
-  while c.cpos < c.clen do
-    let op = cbyte c in
+  while !pos < String.length s do
+    let op = Wire.byte s pos in
     if op = op_def_stream then begin
-      let id = cuvarint c in
-      let name = cstring c in
+      let id = Wire.uvarint s pos in
+      let name = Wire.string s pos in
       st.d_machines <- (id, name) :: List.remove_assoc id st.d_machines
     end
-    else if op = op_set_stream then st.d_stream <- cuvarint c
+    else if op = op_set_stream then st.d_stream <- Wire.uvarint s pos
     else begin
-      if op >= Trace.n_kinds then corrupt "%s: unknown opcode %d" c.cwhat op;
-      let ts = st.d_last_ts + csvarint c in
+      if op >= Trace.n_kinds then corrupt "%s: unknown opcode %d" what op;
+      let ts = st.d_last_ts + Wire.svarint s pos in
       st.d_last_ts <- ts;
-      let arg = st.d_last_arg.(op) + csvarint c in
+      let arg = st.d_last_arg.(op) + Wire.svarint s pos in
       st.d_last_arg.(op) <- arg;
       incr n;
       acc :=
@@ -363,7 +286,7 @@ let decode_segment st c ~off acc f =
     end
   done;
   if !n <> declared then
-    corrupt "%s: header declares %d events, payload holds %d" c.cwhat declared !n;
+    corrupt "%s: header declares %d events, payload holds %d" what declared !n;
   st.d_events <- st.d_events + !n;
   st.d_segments <- st.d_segments + 1;
   !acc
@@ -433,36 +356,40 @@ let fold ?(strict = false) ~path ~init f =
                     if got <> crc then
                       corrupt "%s: CRC mismatch (stored %08x, computed %08x)"
                         what crc got;
-                    let c = { cbuf = payload; cpos = 0; clen = len; cwhat = what } in
                     if !complete then corrupt "%s: data after END frame" what;
-                    if tag = tag_head then begin
-                      if !frame_no <> 0 then corrupt "%s: duplicate HEAD" what;
-                      version := cuvarint c;
-                      let n_meta = cuvarint c in
-                      for _ = 1 to n_meta do
-                        let k = cstring c in
-                        let v = cstring c in
-                        meta := (k, v) :: !meta
-                      done
-                      (* The intern tables are self-description for foreign
-                         readers; this reader trusts its own Trace. *)
-                    end
-                    else if !frame_no = 0 then
-                      corrupt "%s: first frame must be HEAD" what
-                    else if tag = tag_segm then
-                      acc := decode_segment st c ~off:offset !acc f
-                    else begin
-                      let segs = cuvarint c in
-                      let evs = cuvarint c in
-                      end_last_ts := cuvarint c;
-                      let _streams = cuvarint c in
-                      if segs <> st.d_segments || evs <> st.d_events then
-                        corrupt
-                          "%s: END totals disagree (declares %d segments / %d \
-                           events, decoded %d / %d)"
-                          what segs evs st.d_segments st.d_events;
-                      complete := true
-                    end;
+                    let s = Bytes.unsafe_to_string payload and pos = ref 0 in
+                    (try
+                       if tag = tag_head then begin
+                         if !frame_no <> 0 then
+                           corrupt "%s: duplicate HEAD" what;
+                         version := Wire.uvarint s pos;
+                         let n_meta = Wire.uvarint s pos in
+                         for _ = 1 to n_meta do
+                           let k = Wire.string s pos in
+                           let v = Wire.string s pos in
+                           meta := (k, v) :: !meta
+                         done
+                         (* The intern tables are self-description for
+                            foreign readers; this reader trusts its own
+                            Trace. *)
+                       end
+                       else if !frame_no = 0 then
+                         corrupt "%s: first frame must be HEAD" what
+                       else if tag = tag_segm then
+                         acc := decode_segment st s pos ~what ~off:offset !acc f
+                       else begin
+                         let segs = Wire.uvarint s pos in
+                         let evs = Wire.uvarint s pos in
+                         end_last_ts := Wire.uvarint s pos;
+                         let _streams = Wire.uvarint s pos in
+                         if segs <> st.d_segments || evs <> st.d_events then
+                           corrupt
+                             "%s: END totals disagree (declares %d segments / \
+                              %d events, decoded %d / %d)"
+                             what segs evs st.d_segments st.d_events;
+                         complete := true
+                       end
+                     with Wire.Bad e -> corrupt "%s: %s" what e);
                     incr frame_no))
           done;
           if strict && not !complete then

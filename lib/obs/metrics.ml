@@ -1,4 +1,4 @@
-(* Metrics registry: renders counter / histogram / attribution sinks as
+(* Metrics registry: renders counter / sketch / attribution sinks as
    Prometheus text exposition (format 0.0.4) or JSON. Purely a formatter —
    the registry holds references to sinks owned elsewhere and reads them at
    render time, so registering costs nothing during a run. *)
@@ -6,7 +6,7 @@
 type source = {
   label : string;
   counter : Counter.t option;
-  histogram : Histogram.t option;
+  family : Sketch.Family.t option;
   attrib : Attrib.t option;
   window : Window.t option;
   sketch : Sketch.t option;
@@ -17,9 +17,9 @@ type t = { namespace : string; mutable sources : source list (* reversed *) }
 
 let create ?(namespace = "erebor") () = { namespace; sources = [] }
 
-let add t ~label ?counter ?histogram ?attrib ?window ?sketch ?exemplar () =
+let add t ~label ?counter ?family ?attrib ?window ?sketch ?exemplar () =
   t.sources <-
-    { label; counter; histogram; attrib; window; sketch; exemplar }
+    { label; counter; family; attrib; window; sketch; exemplar }
     :: t.sources
 
 let sources t = List.rev t.sources
@@ -37,6 +37,20 @@ let escape_label s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
+
+(* Sketches are exposed re-bucketed onto the log2 exemplar bands, so the
+   cumulative [le] lines read like a latency histogram and each line can
+   carry its band's exemplar. A sketch bucket lands in the band of its
+   midpoint estimate. *)
+let band_counts sk =
+  let bands = Array.make Exemplar.n_bands 0 in
+  bands.(0) <- Sketch.zeros sk;
+  List.iter
+    (fun (i, c) ->
+      let b = Exemplar.band_of (Sketch.estimate sk i) in
+      bands.(b) <- bands.(b) + c)
+    (Sketch.buckets sk);
+  bands
 
 let unattributed_domain = "none"
 let unattributed_phase = "(outside)"
@@ -167,51 +181,43 @@ let to_prometheus t =
                          (Window.percentile w kind ~p)))
                   [ ("0.5", 0.50); ("0.95", 0.95); ("0.99", 0.99) ])
             Trace.all);
+  (* Prometheus histogram lines for one sketch; [suffix] decorates each
+     band's bucket line (OpenMetrics exemplars). *)
+  let histogram out name labels ?(suffix = fun _ -> "") sk =
+    let n = Sketch.count sk in
+    if n > 0 then begin
+      let cum = ref 0 in
+      Array.iteri
+        (fun b c ->
+          if c > 0 then begin
+            cum := !cum + c;
+            out
+              (Printf.sprintf "%s_%s_bucket{%s,le=\"%d\"} %d%s\n" ns name labels
+                 (Exemplar.band_hi b) !cum (suffix b))
+          end)
+        (band_counts sk);
+      out (Printf.sprintf "%s_%s_bucket{%s,le=\"+Inf\"} %d\n" ns name labels n);
+      out (Printf.sprintf "%s_%s_sum{%s} %d\n" ns name labels (Sketch.sum sk));
+      out (Printf.sprintf "%s_%s_count{%s} %d\n" ns name labels n)
+    end
+  in
   family "event_arg" "histogram"
-    "Event-argument distribution per kind (log2 buckets)." (fun s out ->
-      match s.histogram with
+    "Event-argument distribution per kind (log2 exposition bands)."
+    (fun s out ->
+      match s.family with
       | None -> ()
-      | Some h ->
+      | Some f ->
           List.iter
             (fun kind ->
-              let n = Histogram.count h kind in
-              if n > 0 then begin
-                let labels =
-                  Printf.sprintf "source=\"%s\",kind=\"%s\""
-                    (escape_label s.label)
-                    (escape_label (Trace.name kind))
-                in
-                let cum = ref 0 in
-                List.iter
-                  (fun (_, hi, c) ->
-                    cum := !cum + c;
-                    out
-                      (Printf.sprintf "%s_event_arg_bucket{%s,le=\"%d\"} %d\n"
-                         ns labels hi !cum))
-                  (Histogram.buckets h kind);
-                out
-                  (Printf.sprintf "%s_event_arg_bucket{%s,le=\"+Inf\"} %d\n" ns
-                     labels n);
-                out
-                  (Printf.sprintf "%s_event_arg_sum{%s} %d\n" ns labels
-                     (Histogram.sum h kind));
-                out (Printf.sprintf "%s_event_arg_count{%s} %d\n" ns labels n)
-              end)
+              histogram out "event_arg"
+                (Printf.sprintf "source=\"%s\",kind=\"%s\""
+                   (escape_label s.label)
+                   (escape_label (Trace.name kind)))
+                (Sketch.Family.get f kind))
             Trace.all);
-  (* Sketch-backed families (fleet telemetry). The histogram exposition
-     re-buckets the sketch onto the log2 exemplar bands so each bucket
-     line can carry that band's OpenMetrics exemplar:
+  (* Sketch-backed fleet families; each latency bucket line carries its
+     band's OpenMetrics exemplar:
        ..._bucket{le="1023"} 412 # {trace_id="0x2a",...} 987 55        *)
-  let sketch_band_counts sk =
-    let bands = Array.make Exemplar.n_bands 0 in
-    bands.(0) <- Sketch.zeros sk;
-    List.iter
-      (fun (i, c) ->
-        let b = Exemplar.band_of (Sketch.estimate sk i) in
-        bands.(b) <- bands.(b) + c)
-      (Sketch.buckets sk);
-    bands
-  in
   let exemplar_suffix s band =
     match s.exemplar with
     | None -> ""
@@ -232,33 +238,9 @@ let to_prometheus t =
       match s.sketch with
       | None -> ()
       | Some sk ->
-          let n = Sketch.count sk in
-          if n > 0 then begin
-            let labels =
-              Printf.sprintf "source=\"%s\"" (escape_label s.label)
-            in
-            let bands = sketch_band_counts sk in
-            let cum = ref 0 in
-            for b = 0 to Exemplar.n_bands - 1 do
-              if bands.(b) > 0 then begin
-                cum := !cum + bands.(b);
-                out
-                  (Printf.sprintf
-                     "%s_sketch_latency_cycles_bucket{%s,le=\"%d\"} %d%s\n" ns
-                     labels (Exemplar.band_hi b) !cum (exemplar_suffix s b))
-              end
-            done;
-            out
-              (Printf.sprintf
-                 "%s_sketch_latency_cycles_bucket{%s,le=\"+Inf\"} %d\n" ns
-                 labels n);
-            out
-              (Printf.sprintf "%s_sketch_latency_cycles_sum{%s} %d\n" ns labels
-                 (Sketch.sum sk));
-            out
-              (Printf.sprintf "%s_sketch_latency_cycles_count{%s} %d\n" ns
-                 labels n)
-          end);
+          histogram out "sketch_latency_cycles"
+            (Printf.sprintf "source=\"%s\"" (escape_label s.label))
+            ~suffix:(exemplar_suffix s) sk);
   family ~unit_:"cycles" "sketch_quantile_cycles" "summary"
     "Request-latency quantiles from the mergeable sketch (relative-error \
      bounded, merge-order invariant)."
@@ -333,31 +315,33 @@ let to_json t =
               end)
             Trace.all;
           Buffer.add_string buf "]");
-      (match s.histogram with
+      (match s.family with
       | None -> ()
-      | Some h ->
+      | Some f ->
           Buffer.add_string buf ",\"histograms\":[";
           let first = ref true in
           List.iter
             (fun kind ->
-              let n = Histogram.count h kind in
+              let sk = Sketch.Family.get f kind in
+              let n = Sketch.count sk in
               if n > 0 then begin
                 comma first;
                 Printf.bprintf buf
                   "{\"kind\":\"%s\",\"count\":%d,\"sum\":%d,\"max\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"buckets\":["
                   (escape_json (Trace.name kind))
-                  n (Histogram.sum h kind)
-                  (Histogram.max_value h kind)
-                  (Histogram.percentile h kind ~p:0.50)
-                  (Histogram.percentile h kind ~p:0.95)
-                  (Histogram.percentile h kind ~p:0.99);
+                  n (Sketch.sum sk) (Sketch.max_value sk)
+                  (Sketch.quantile sk ~p:0.50)
+                  (Sketch.quantile sk ~p:0.95)
+                  (Sketch.quantile sk ~p:0.99);
                 let first_b = ref true in
-                List.iter
-                  (fun (lo, hi, c) ->
-                    comma first_b;
-                    Printf.bprintf buf "{\"lo\":%d,\"hi\":%d,\"count\":%d}" lo
-                      hi c)
-                  (Histogram.buckets h kind);
+                Array.iteri
+                  (fun b c ->
+                    if c > 0 then begin
+                      comma first_b;
+                      Printf.bprintf buf "{\"lo\":%d,\"hi\":%d,\"count\":%d}"
+                        (Exemplar.band_lo b) (Exemplar.band_hi b) c
+                    end)
+                  (band_counts sk);
                 Buffer.add_string buf "]}"
               end)
             Trace.all;

@@ -1,17 +1,18 @@
-(** Metrics registry: renders counter / histogram / attribution sinks as
+(** Metrics registry: renders counter / sketch / attribution sinks as
     Prometheus text exposition or JSON.
 
     Purely a formatter over sinks owned elsewhere — register the sinks a
     run attached, then render after the run. Metric families:
     [<ns>_events_total{source,kind}], [<ns>_event_arg_total{source,kind}],
-    [<ns>_cycles_attributed_total{source,domain,phase}] and the
-    [<ns>_event_arg{source,kind}] histogram (cumulative [le] buckets on the
-    log2 boundaries). A {!Window} source adds window-scoped gauges —
+    [<ns>_cycles_attributed_total{source,domain,phase}] and, from a
+    per-kind {!Sketch.Family}, the [<ns>_event_arg{source,kind}]
+    histogram. Every sketch is exposed re-bucketed onto the log2
+    {!Exemplar} bands (cumulative [le] buckets at [2^b - 1]). A {!Window} source adds window-scoped gauges —
     [<ns>_window_events{source,kind}], [<ns>_window_rate{source,kind}] and
     [<ns>_window_arg{source,kind,quantile}] — that describe the sliding
     window rather than the whole run. A {!Sketch} source adds the fleet
-    families [<ns>_sketch_latency_cycles{source}] (a histogram re-bucketed
-    onto the log2 exemplar bands, with [# UNIT] metadata and, when an
+    families [<ns>_sketch_latency_cycles{source}] (a histogram on the
+    same bands, with [# UNIT] metadata and, when an
     {!Exemplar} reservoir is registered alongside, an OpenMetrics exemplar
     [# {trace_id=...,machine=...,offset=...} latency ts] on each bucket
     line) and [<ns>_sketch_quantile_cycles{source,quantile}] (a summary).
@@ -26,7 +27,7 @@ val add :
   t ->
   label:string ->
   ?counter:Counter.t ->
-  ?histogram:Histogram.t ->
+  ?family:Sketch.Family.t ->
   ?attrib:Attrib.t ->
   ?window:Window.t ->
   ?sketch:Sketch.t ->

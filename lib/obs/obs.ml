@@ -4,7 +4,6 @@ module Trace = Trace
 module Emitter = Emitter
 module Counter = Counter
 module Ring = Ring
-module Histogram = Histogram
 module Chrome = Chrome
 module Attrib = Attrib
 module Flame = Flame
@@ -23,6 +22,7 @@ module Sketch = Sketch
 module Topk = Topk
 module Exemplar = Exemplar
 module Agg = Agg
+module Wire = Wire
 
 let with_span emitter ~now phase f =
   Emitter.emit emitter (Trace.span_begin phase) ~ts:(now ()) ~arg:0;

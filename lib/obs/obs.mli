@@ -1,9 +1,8 @@
 (** The unified observability subsystem: a typed, allocation-light event bus
     ({!Emitter}) over the {!Trace} taxonomy, with pluggable sinks — counters
-    ({!Counter}), a bounded post-mortem ring ({!Ring}), latency histograms
-    ({!Histogram}), a Chrome-trace/JSONL recorder ({!Chrome}), a
-    cycle-attribution profiler ({!Attrib}) with flamegraph ({!Flame}) and
-    Prometheus/JSON ({!Metrics}) exporters, a request-scoped causal-trace
+    ({!Counter}), a bounded post-mortem ring ({!Ring}), a Chrome-trace/JSONL
+    recorder ({!Chrome}), a cycle-attribution profiler ({!Attrib}) with
+    flamegraph ({!Flame}) and Prometheus/JSON ({!Metrics}) exporters, a request-scoped causal-trace
     collector ({!Request}), a tamper-evident hash-chained audit log
     ({!Audit}), and live SLO telemetry — virtual-clock sliding windows
     ({!Window}), error-budget burn-rate alerts ({!Slo}), per-sandbox health
@@ -11,7 +10,8 @@
     offline flight-recorder stack: a crash-safe binary journal ({!Journal})
     with query ({!Query}), critical-path ({!Critical}) and run-diff
     ({!Diff}) engines over recorded runs — and fleet telemetry: mergeable
-    relative-error quantile sketches ({!Sketch}), heavy-hitter summaries
+    relative-error quantile sketches ({!Sketch}, the one quantile
+    estimator every latency reader uses), heavy-hitter summaries
     ({!Topk}), tail-latency exemplars ({!Exemplar}) and the
     order-invariant fleet aggregator ({!Agg}).
 
@@ -24,7 +24,6 @@ module Trace = Trace
 module Emitter = Emitter
 module Counter = Counter
 module Ring = Ring
-module Histogram = Histogram
 module Chrome = Chrome
 module Attrib = Attrib
 module Flame = Flame
@@ -43,6 +42,10 @@ module Sketch = Sketch
 module Topk = Topk
 module Exemplar = Exemplar
 module Agg = Agg
+
+module Wire = Wire
+(** The varint codec shared by the binary formats above (exposed for its
+    round-trip tests). *)
 
 val with_span : Emitter.t -> now:(unit -> int) -> Trace.phase -> (unit -> 'a) -> 'a
 (** [with_span emitter ~now phase f] emits [Span_begin phase], runs [f], and

@@ -1,6 +1,5 @@
 (* Offline journal queries: one streaming pass of filter -> group -> row
-   aggregation. Distributions reuse the live histogram's log2 bucketing so
-   online and offline percentiles agree. *)
+   aggregation, one quantile sketch per group cell. *)
 
 type filter = {
   kinds : Trace.kind list;
@@ -25,65 +24,16 @@ type row = {
   p99 : int;
 }
 
-(* A standalone log2 distribution (the Histogram sink is keyed by kind and
-   bus-attached; queries need one per group cell). *)
-type dist = {
-  mutable count : int;
-  mutable sum : int;
-  mutable dmin : int;
-  mutable dmax : int;
-  buckets : int array;
-}
-
-let dist () =
-  { count = 0; sum = 0; dmin = max_int; dmax = 0;
-    buckets = Array.make Histogram.n_buckets 0 }
-
-let observe d v =
-  d.count <- d.count + 1;
-  d.sum <- d.sum + v;
-  if v < d.dmin then d.dmin <- v;
-  if v > d.dmax then d.dmax <- v;
-  let b = Histogram.bucket_of v in
-  d.buckets.(b) <- d.buckets.(b) + 1
-
-(* Same rank-in-bucket linear interpolation as Histogram.percentile. *)
-let percentile d ~p =
-  if d.count = 0 then 0
-  else if p <= 0.0 then d.dmin
-  else if p >= 1.0 then d.dmax
-  else begin
-    let rank = p *. float_of_int d.count in
-    let seen = ref 0. in
-    let result = ref d.dmax in
-    (try
-       for b = 0 to Histogram.n_buckets - 1 do
-         let c = d.buckets.(b) in
-         if c > 0 then begin
-           let next = !seen +. float_of_int c in
-           if rank <= next then begin
-             let lo = Histogram.bucket_lo b and hi = Histogram.bucket_hi b in
-             let frac = (rank -. !seen) /. float_of_int c in
-             result := lo + int_of_float (frac *. float_of_int (hi - lo));
-             raise Exit
-           end;
-           seen := next
-         end
-       done
-     with Exit -> ());
-    Stdlib.min d.dmax (Stdlib.max d.dmin !result)
-  end
-
 let row_of label d =
   {
     label;
-    count = d.count;
-    sum = d.sum;
-    min = (if d.count = 0 then 0 else d.dmin);
-    max = d.dmax;
-    p50 = percentile d ~p:0.5;
-    p95 = percentile d ~p:0.95;
-    p99 = percentile d ~p:0.99;
+    count = Sketch.count d;
+    sum = Sketch.sum d;
+    min = Sketch.min_value d;
+    max = Sketch.max_value d;
+    p50 = Sketch.quantile d ~p:0.5;
+    p95 = Sketch.quantile d ~p:0.95;
+    p99 = Sketch.quantile d ~p:0.99;
   }
 
 let max_streams = 256
@@ -105,12 +55,12 @@ let run_pass ~filter ~group ~stream_sel ~path =
       span_open.(stream) <- Array.make Trace.n_phases [];
     span_open.(stream)
   in
-  let cells : (string, dist) Hashtbl.t = Hashtbl.create 64 in
+  let cells : (string, Sketch.t) Hashtbl.t = Hashtbl.create 64 in
   let cell label =
     match Hashtbl.find_opt cells label with
     | Some d -> d
     | None ->
-        let d = dist () in
+        let d = Sketch.create () in
         Hashtbl.add cells label d;
         d
   in
@@ -144,9 +94,9 @@ let run_pass ~filter ~group ~stream_sel ~path =
         in
         if selected then
           match group with
-          | By_kind -> observe (cell (Trace.name e.kind)) e.arg
-          | By_machine -> observe (cell (Printf.sprintf "#%d" s)) e.arg
-          | By_none -> observe (cell "all") e.arg
+          | By_kind -> Sketch.record (cell (Trace.name e.kind)) e.arg
+          | By_machine -> Sketch.record (cell (Printf.sprintf "#%d" s)) e.arg
+          | By_none -> Sketch.record (cell "all") e.arg
           | By_phase -> (
               match e.kind with
               | Trace.Span_begin p ->
@@ -160,7 +110,7 @@ let run_pass ~filter ~group ~stream_sel ~path =
                   | [] -> ()
                   | t0 :: rest ->
                       st.(i) <- rest;
-                      observe (cell (Trace.phase_name p)) (e.ts - t0))
+                      Sketch.record (cell (Trace.phase_name p)) (e.ts - t0))
               | _ -> ()))
   in
   match result with

@@ -2,9 +2,8 @@
 
     The first of the three analysis engines layered on {!Journal}: select
     events by kind, machine, sandbox lifetime or time range, then aggregate
-    into rows — counts, argument sums and log2-bucketed percentiles (same
-    bucketing as the live {!Histogram} sink) — grouped by kind, machine or
-    span phase. Runs in one streaming pass; the journal is never
+    into rows — counts, argument sums and {!Sketch} percentiles — grouped
+    by kind, machine or span phase. Runs in one streaming pass; the journal is never
     materialized. *)
 
 type filter = {
@@ -37,7 +36,7 @@ type row = {
   max : int;
   p50 : int;
   p95 : int;
-  p99 : int;      (** Log2-bucket percentile estimates ({!Histogram}). *)
+  p99 : int;      (** {!Sketch.quantile} estimates. *)
 }
 
 val run :

@@ -11,7 +11,7 @@
 
    Head-based sampling: the decision is taken once at [mint] and travels in
    the context, so every hop agrees. Unsampled requests still feed the
-   latency histogram (the root window is always timed); only span
+   latency sketch (the root window is always timed); only span
    collection is skipped. Collection never advances the virtual clock. *)
 
 type ctx = { trace_id : int; span_id : int; sampled : bool }
@@ -63,16 +63,13 @@ type t = {
   mutable next_id : int;
   mutable completed : int;
   by_trace : (int, segment list ref) Hashtbl.t; (* reversed arrival order *)
-  hist_emitter : Emitter.t;
-  hist : Histogram.t;
+  latency : Sketch.t; (* root-window cycles *)
 }
 
 let create ?(sample_every = 1) ?(collect_spans = true) () =
   if sample_every < 1 then invalid_arg "Request.create: sample_every < 1";
-  let hist_emitter = Emitter.create () in
-  let hist = Histogram.attach hist_emitter (Histogram.create ()) in
   { sample_every; collect_spans; next_id = 0; completed = 0;
-    by_trace = Hashtbl.create 64; hist_emitter; hist }
+    by_trace = Hashtbl.create 64; latency = Sketch.create () }
 
 let mint t =
   let id = t.next_id in
@@ -135,8 +132,7 @@ let attach t ~machine emitter =
                 add_segment t (freeze_seg seg ~t1:ts) ~trace_id:seg.btrace;
               if seg.broot then begin
                 t.completed <- t.completed + 1;
-                Emitter.emit t.hist_emitter Trace.Req_end ~ts
-                  ~arg:(ts - seg.bseg_t0)
+                Sketch.record t.latency (ts - seg.bseg_t0)
               end;
               current := None
             end
@@ -176,9 +172,9 @@ let root_cycles t ~trace_id =
   | None -> None
   | Some s -> Some (s.seg_t1 - s.seg_t0)
 
-let latency_count t = Histogram.count t.hist Trace.Req_end
-let latency_percentile t ~p = Histogram.percentile t.hist Trace.Req_end ~p
-let latency_mean t = Histogram.mean t.hist Trace.Req_end
+let latency_count t = Sketch.count t.latency
+let latency_percentile t ~p = Sketch.quantile t.latency ~p
+let latency_mean t = Sketch.mean t.latency
 
 (* --- Exports ----------------------------------------------------------- *)
 

@@ -11,7 +11,7 @@
 
     Sampling is head-based: decided once at {!mint}, carried in the
     context, so all hops agree. Unsampled requests still feed the latency
-    histogram; only span collection is skipped. Collection never advances
+    sketch; only span collection is skipped. Collection never advances
     the virtual clock. *)
 
 type ctx = {
@@ -44,7 +44,7 @@ val create : ?sample_every:int -> ?collect_spans:bool -> unit -> t
     [collect_spans] (default true) controls whether sampled windows also
     record their full nested span tree; with it off the collector still
     tracks segments (window bounds, {!root_cycles}) and the latency
-    histogram, but skips the per-span builders entirely — the right mode
+    sketch, but skips the per-span builders entirely — the right mode
     for high-volume measurement runs where only end-to-end windows are
     read back. *)
 
@@ -70,7 +70,8 @@ val root_cycles : t -> trace_id:int -> int option
 val latency_count : t -> int
 val latency_mean : t -> float
 val latency_percentile : t -> p:float -> int
-(** Root-window latency distribution over all completed requests. *)
+(** Root-window latency distribution over all completed requests, as a
+    {!Sketch} (percentiles within its relative error [alpha]). *)
 
 val to_json : t -> string
 (** All collected request trees plus the latency summary. *)

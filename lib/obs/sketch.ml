@@ -120,6 +120,31 @@ let record t v =
     t.buckets.(bkt) <- t.buckets.(bkt) + 1
   end
 
+(* Back to the empty state in place: only the live range can be nonzero,
+   so this costs O(live buckets) and never allocates. *)
+let reset t =
+  if t.hi >= 0 then Array.fill t.buckets t.floor (t.hi - t.floor + 1) 0;
+  t.zeros <- 0;
+  t.floor <- 0;
+  t.hi <- -1;
+  t.count <- 0;
+  t.sum <- 0;
+  t.min_v <- max_int;
+  t.max_v <- min_int
+
+(* Whole buckets above [threshold]'s own bucket: every value in them
+   exceeds it (the index is monotone in the value), so this never
+   over-counts. A collapsed floor bucket may hold any lower value and is
+   skipped. *)
+let count_above t threshold =
+  let first = index_of t threshold + 1 in
+  let first = if t.floor > 0 then max first (t.floor + 1) else first in
+  let n = ref 0 in
+  for i = first to t.hi do
+    n := !n + t.buckets.(i)
+  done;
+  !n
+
 (* Midpoint estimate for bucket [i], within alpha relative error of every
    value the bucket covers (before rounding to int). *)
 let estimate t i =
@@ -203,75 +228,70 @@ let buckets t =
    floor), so the encoding of a given state is unique: byte equality of
    [serialize] is state equality. *)
 
-let put_varint = Sketch_wire.put_varint
-let put_signed = Sketch_wire.put_signed
-
 let serialize t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "ESK1";
   Buffer.add_int64_be buf (Int64.bits_of_float t.alpha);
-  put_varint buf t.capacity;
-  put_varint buf t.count;
-  put_signed buf t.sum;
-  put_signed buf (if t.count = 0 then 0 else t.min_v);
-  put_signed buf (if t.count = 0 then 0 else t.max_v);
-  put_varint buf t.zeros;
-  put_varint buf t.floor;
-  put_varint buf (t.hi + 1);
+  Wire.add_uvarint buf t.capacity;
+  Wire.add_uvarint buf t.count;
+  Wire.add_svarint buf t.sum;
+  Wire.add_svarint buf (if t.count = 0 then 0 else t.min_v);
+  Wire.add_svarint buf (if t.count = 0 then 0 else t.max_v);
+  Wire.add_uvarint buf t.zeros;
+  Wire.add_uvarint buf t.floor;
+  Wire.add_uvarint buf (t.hi + 1);
   let live = buckets t in
-  put_varint buf (List.length live);
+  Wire.add_uvarint buf (List.length live);
   let prev = ref t.floor in
   List.iter
     (fun (i, c) ->
-      put_varint buf (i - !prev);
+      Wire.add_uvarint buf (i - !prev);
       prev := i;
-      put_varint buf c)
+      Wire.add_uvarint buf c)
     live;
   Buffer.contents buf
-
-exception Bad = Sketch_wire.Bad
-
-let get_varint = Sketch_wire.get_varint
-let get_signed = Sketch_wire.get_signed
 
 let deserialize s =
   try
     if String.length s < 12 || String.sub s 0 4 <> "ESK1" then
-      raise (Bad "sketch: bad magic");
+      raise (Wire.Bad "sketch: bad magic");
     let alpha = Int64.float_of_bits (String.get_int64_be s 4) in
     if not (alpha > 0.0 && alpha < 1.0) then
-      raise (Bad "sketch: alpha out of range");
+      raise (Wire.Bad "sketch: alpha out of range");
     let pos = ref 12 in
-    let capacity = get_varint s pos in
+    let capacity = Wire.uvarint s pos in
+    if capacity < 1 then raise (Wire.Bad "sketch: capacity out of range");
     let t = create ~alpha ~capacity () in
-    t.count <- get_varint s pos;
-    t.sum <- get_signed s pos;
-    let mn = get_signed s pos and mx = get_signed s pos in
+    t.count <- Wire.uvarint s pos;
+    t.sum <- Wire.svarint s pos;
+    let mn = Wire.svarint s pos in
+    let mx = Wire.svarint s pos in
     if t.count > 0 then begin
       t.min_v <- mn;
       t.max_v <- mx
     end;
-    t.zeros <- get_varint s pos;
-    t.floor <- get_varint s pos;
-    t.hi <- get_varint s pos - 1;
-    if t.hi > t.max_index || t.floor > t.max_index then
-      raise (Bad "sketch: bucket index out of range");
-    let n_live = get_varint s pos in
+    t.zeros <- Wire.uvarint s pos;
+    t.floor <- Wire.uvarint s pos;
+    t.hi <- Wire.uvarint s pos - 1;
+    if t.hi > t.max_index || t.floor > t.max_index || t.floor < 0 || t.hi < -1
+    then
+      raise (Wire.Bad "sketch: bucket index out of range");
+    let n_live = Wire.uvarint s pos in
     let prev = ref t.floor in
     let total = ref t.zeros in
     for _ = 1 to n_live do
-      let i = !prev + get_varint s pos in
-      let c = get_varint s pos in
-      if i > t.hi then raise (Bad "sketch: bucket above hi");
-      if c = 0 then raise (Bad "sketch: empty live bucket");
+      let i = !prev + Wire.uvarint s pos in
+      let c = Wire.uvarint s pos in
+      if i > t.hi || i < !prev then raise (Wire.Bad "sketch: bucket out of range");
+      if c = 0 then raise (Wire.Bad "sketch: empty live bucket");
       t.buckets.(i) <- c;
       total := !total + c;
       prev := i
     done;
-    if !pos <> String.length s then raise (Bad "sketch: trailing bytes");
-    if !total <> t.count then raise (Bad "sketch: count mismatch");
+    if !pos <> String.length s then raise (Wire.Bad "sketch: trailing bytes");
+    if !total <> t.count then raise (Wire.Bad "sketch: count mismatch");
     Result.Ok t
-  with Bad e -> Result.Error e
+  with Wire.Bad e -> Result.Error e
 
 (* {2 Per-kind family, attachable as an emitter sink} *)
 

@@ -5,8 +5,10 @@
     [gamma = (1+alpha)/(1-alpha)], so every quantile estimate is within a
     relative error of [alpha] of some value actually recorded (plus at
     most 1 absolute from integer rounding; values below [1 / 2 alpha]
-    occupy one bucket per integer and are exact). Unlike
-    {!Histogram}'s factor-of-two log2 buckets, sketches from different
+    occupy one bucket per integer and are exact). It is the library's
+    only quantile estimator: request latency ({!Request}), sliding
+    windows ({!Window}), journal queries ({!Query}) and the metrics
+    exposition ({!Metrics}) all read one. Sketches from different
     machines {!merge} with no accuracy loss, which is what makes fleet
     p50/p95/p99 well-defined.
 
@@ -39,6 +41,10 @@ val record : t -> int -> unit
     collapse-lowest path runs only when a new maximum crosses
     [capacity]). Values [<= 0] are counted in a dedicated zero bucket. *)
 
+val reset : t -> unit
+(** Empty the sketch in place, keeping [alpha] and [capacity].
+    Allocation-free; costs one pass over the live buckets. *)
+
 val count : t -> int
 val sum : t -> int
 
@@ -51,7 +57,7 @@ val max_value : t -> int
 val mean : t -> float
 
 val quantile : t -> p:float -> int
-(** Quantile estimate with {!Histogram.percentile}'s edge semantics:
+(** Quantile estimate. Edges are exact: an
     empty sketch returns 0 at every [p]; [p] is clamped to [[0, 1]];
     [p <= 0.0] returns {!min_value}; [p >= 1.0] returns {!max_value}; a
     single-sample sketch returns that sample at every [p]. In between,
@@ -60,6 +66,12 @@ val quantile : t -> p:float -> int
     clamped to the observed [[min, max]]. The relative-error bound holds
     for non-negative streams (latencies); negative values share the zero
     bucket and are pinned only by the min clamp. *)
+
+val count_above : t -> int -> int
+(** Samples in the buckets lying wholly above the one [threshold] lands
+    in. Never more than the exact count of values [> threshold], and at
+    least the exact count of values [> threshold * gamma + 1], where
+    [gamma = (1 + alpha) / (1 - alpha)] is the bucket width. *)
 
 val merge : into:t -> t -> unit
 (** Fold [src] into [into] (the source is left untouched). Exactly
@@ -89,9 +101,8 @@ val deserialize : string -> (t, string) result
 (** Parse {!serialize} output; [Error] describes the first malformed
     field (bad magic, truncation, count mismatch, trailing bytes). *)
 
-(** Per-kind sketch family attachable as an emitter sink, mirroring
-    {!Histogram.attach}: every event's argument is recorded into its
-    kind's sketch. *)
+(** Per-kind sketch family attachable as an emitter sink: every event's
+    argument is recorded into its kind's sketch. *)
 module Family : sig
   type sketch = t
   type t

@@ -18,8 +18,9 @@
 
 type condition =
   | Latency_above of { kind : Trace.kind; threshold : int }
-      (** Bad = samples of [kind] whose arg exceeds [threshold] (needs the
-          kind histogram-tracked in the window); total = all samples. *)
+      (** Bad = samples of [kind] whose arg exceeds [threshold], counted
+          by {!Window.over} at the sketch's 1% resolution (needs the kind
+          in the window's [hist_kinds]); total = all samples. *)
   | Ratio of { bad : Trace.kind; total : Trace.kind }
       (** Bad fraction = count of [bad] / count of [total]. *)
   | Rate_above of { kind : Trace.kind; per_second : float }

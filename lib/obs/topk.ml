@@ -175,42 +175,37 @@ let n_keys s = List.length s.entries
 let serialize s =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "ETK1";
-  Sketch_wire.put_varint buf s.floor_total;
-  Sketch_wire.put_varint buf (List.length s.entries);
+  Wire.add_uvarint buf s.floor_total;
+  Wire.add_uvarint buf (List.length s.entries);
   List.iter
     (fun e ->
-      Sketch_wire.put_varint buf (String.length e.skey);
-      Buffer.add_string buf e.skey;
-      Sketch_wire.put_varint buf e.scount;
-      Sketch_wire.put_varint buf e.serr;
-      Sketch_wire.put_varint buf e.fl_in)
+      Wire.add_string buf e.skey;
+      Wire.add_uvarint buf e.scount;
+      Wire.add_uvarint buf e.serr;
+      Wire.add_uvarint buf e.fl_in)
     s.entries;
   Buffer.contents buf
 
 let deserialize s =
   try
     if String.length s < 4 || String.sub s 0 4 <> "ETK1" then
-      raise (Sketch_wire.Bad "topk: bad magic");
+      raise (Wire.Bad "topk: bad magic");
     let pos = ref 4 in
-    let floor_total = Sketch_wire.get_varint s pos in
-    let n = Sketch_wire.get_varint s pos in
+    let floor_total = Wire.uvarint s pos in
+    let n = Wire.uvarint s pos in
     let prev = ref "" in
     let entries = ref [] in
     for i = 1 to n do
-      let len = Sketch_wire.get_varint s pos in
-      if !pos + len > String.length s then
-        raise (Sketch_wire.Bad "topk: truncated key");
-      let key = String.sub s !pos len in
-      pos := !pos + len;
+      let key = Wire.string s pos in
       if i > 1 && key <= !prev then
-        raise (Sketch_wire.Bad "topk: keys not strictly ascending");
+        raise (Wire.Bad "topk: keys not strictly ascending");
       prev := key;
-      let scount = Sketch_wire.get_varint s pos in
-      let serr = Sketch_wire.get_varint s pos in
-      let fl_in = Sketch_wire.get_varint s pos in
+      let scount = Wire.uvarint s pos in
+      let serr = Wire.uvarint s pos in
+      let fl_in = Wire.uvarint s pos in
       entries := { skey = key; scount; serr; fl_in } :: !entries
     done;
     if !pos <> String.length s then
-      raise (Sketch_wire.Bad "topk: trailing bytes");
+      raise (Wire.Bad "topk: trailing bytes");
     Result.Ok { floor_total; entries = List.rev !entries }
-  with Sketch_wire.Bad e -> Result.Error e
+  with Wire.Bad e -> Result.Error e

@@ -1,15 +1,16 @@
 (* Time-bucketed sliding-window sink, keyed to the VIRTUAL clock. A fixed
    ring of [nbuckets] buckets, each [width] virtual cycles wide, holds
    per-kind event counts and arg sums; a configurable subset of kinds also
-   keeps a per-bucket log2 histogram (and min/max) so percentiles over the
-   last N windows come from a merge-on-read walk. The ring rotates when an
-   event's timestamp crosses the current bucket's end — i.e. rotation is
-   driven by the virtual clock the events already carry, never by wall
-   time, and recording never advances that clock.
+   keeps one quantile sketch per bucket, so percentiles over the last N
+   windows are a merge-on-read into a scratch sketch. The ring rotates
+   when an event's timestamp crosses the current bucket's end — i.e.
+   rotation is driven by the virtual clock the events already carry,
+   never by wall time, and recording never advances that clock.
 
-   The record path is allocation-free: every bucket row lives in flat,
-   preallocated int arrays indexed by [slot * n_kinds + kind]. Read-side
-   queries may allocate (they run off the hot path). *)
+   The record path is allocation-free: counts live in flat preallocated
+   int arrays indexed by [slot * n_kinds + kind], sketches are allocated
+   once and reset in place on rotation. Read-side queries may allocate
+   (they run off the hot path). *)
 
 type t = {
   width : int;            (* virtual cycles per bucket *)
@@ -20,13 +21,10 @@ type t = {
   counts : int array;     (* [slot * n_kinds + kind] -> events *)
   sums : int array;       (* [slot * n_kinds + kind] -> arg sum *)
   totals : int array;     (* lifetime per-kind event count *)
-  hist_slot : int array;  (* kind -> histogram slot, or -1 if untracked *)
-  hist_kinds : Trace.kind array;
+  hist_slot : int array;  (* kind -> tracked slot, or -1 if untracked *)
   n_hist : int;
-  hist : int array;       (* [(slot * n_hist + h) * Histogram.n_buckets + b] *)
-  hist_min : int array;   (* [slot * n_hist + h]; max_int when empty *)
-  hist_max : int array;   (* [slot * n_hist + h] *)
-  scratch : int array;    (* merge-on-read histogram row *)
+  sketches : Sketch.t array; (* [slot * n_hist + h] *)
+  scratch : Sketch.t;     (* merge-on-read target *)
 }
 
 let default_hist_kinds =
@@ -36,10 +34,9 @@ let create ?(hist_kinds = default_hist_kinds) ?(ghz = 2.1) ~width ~buckets ()
     =
   if width <= 0 then invalid_arg "Window.create: width must be positive";
   if buckets <= 0 then invalid_arg "Window.create: buckets must be positive";
-  let hist_kinds = Array.of_list hist_kinds in
-  let n_hist = Array.length hist_kinds in
+  let n_hist = List.length hist_kinds in
   let hist_slot = Array.make Trace.n_kinds (-1) in
-  Array.iteri (fun h k -> hist_slot.(Trace.index k) <- h) hist_kinds;
+  List.iteri (fun h k -> hist_slot.(Trace.index k) <- h) hist_kinds;
   {
     width;
     nbuckets = buckets;
@@ -50,12 +47,9 @@ let create ?(hist_kinds = default_hist_kinds) ?(ghz = 2.1) ~width ~buckets ()
     sums = Array.make (buckets * Trace.n_kinds) 0;
     totals = Array.make Trace.n_kinds 0;
     hist_slot;
-    hist_kinds;
     n_hist;
-    hist = Array.make (buckets * n_hist * Histogram.n_buckets) 0;
-    hist_min = Array.make (buckets * n_hist) max_int;
-    hist_max = Array.make (buckets * n_hist) 0;
-    scratch = Array.make Histogram.n_buckets 0;
+    sketches = Array.init (buckets * n_hist) (fun _ -> Sketch.create ());
+    scratch = Sketch.create ();
   }
 
 let width t = t.width
@@ -66,12 +60,9 @@ let hist_tracked t kind = t.hist_slot.(Trace.index kind) >= 0
 let clear_slot t s =
   Array.fill t.counts (s * Trace.n_kinds) Trace.n_kinds 0;
   Array.fill t.sums (s * Trace.n_kinds) Trace.n_kinds 0;
-  if t.n_hist > 0 then begin
-    Array.fill t.hist (s * t.n_hist * Histogram.n_buckets)
-      (t.n_hist * Histogram.n_buckets) 0;
-    Array.fill t.hist_min (s * t.n_hist) t.n_hist max_int;
-    Array.fill t.hist_max (s * t.n_hist) t.n_hist 0
-  end
+  for h = 0 to t.n_hist - 1 do
+    Sketch.reset t.sketches.((s * t.n_hist) + h)
+  done
 
 (* Rotate the ring so [now] falls inside the current bucket. A gap larger
    than the whole ring clears every bucket in one pass and jumps the start
@@ -102,13 +93,7 @@ let record t kind ~ts ~arg =
   t.sums.(base) <- t.sums.(base) + arg;
   t.totals.(i) <- t.totals.(i) + 1;
   let h = t.hist_slot.(i) in
-  if h >= 0 then begin
-    let row = (t.cur * t.n_hist) + h in
-    let b = (row * Histogram.n_buckets) + Histogram.bucket_of arg in
-    t.hist.(b) <- t.hist.(b) + 1;
-    if arg < t.hist_min.(row) then t.hist_min.(row) <- arg;
-    if arg > t.hist_max.(row) then t.hist_max.(row) <- arg
-  end
+  if h >= 0 then Sketch.record t.sketches.((t.cur * t.n_hist) + h) arg
 
 let sink t kind ~ts ~arg = record t kind ~ts ~arg
 let attach emitter t =
@@ -160,76 +145,29 @@ let rate t ?windows ?now kind =
   float_of_int (count t ?windows kind)
   /. (float_of_int cycles /. (t.ghz *. 1e9))
 
-(* Merge-on-read percentile over the last N windows. Same semantics as
-   {!Histogram.percentile}: p clamped to [0, 1], result clamped to the
-   observed [min, max] of the merged span, 0 when the span holds no
-   samples. *)
-let percentile t ?windows kind ~p =
-  let i = Trace.index kind in
-  let h = t.hist_slot.(i) in
+(* The tracked slot of [kind], for the read paths that need a sketch. *)
+let slot_of t kind ~what =
+  let h = t.hist_slot.(Trace.index kind) in
   if h < 0 then
     invalid_arg
-      (Printf.sprintf "Window.percentile: kind %s has no histogram"
-         (Trace.name kind));
-  Array.fill t.scratch 0 Histogram.n_buckets 0;
-  let n, vmin, vmax =
-    fold_last t ?windows
-      (fun (n, vmin, vmax) s ->
-        let row = (s * t.n_hist) + h in
-        let base = row * Histogram.n_buckets in
-        let cnt = ref 0 in
-        for b = 0 to Histogram.n_buckets - 1 do
-          let c = t.hist.(base + b) in
-          if c > 0 then begin
-            t.scratch.(b) <- t.scratch.(b) + c;
-            cnt := !cnt + c
-          end
-        done;
-        if !cnt = 0 then (n, vmin, vmax)
-        else (n + !cnt, min vmin t.hist_min.(row), max vmax t.hist_max.(row)))
-      (0, max_int, 0)
-  in
-  if n = 0 then 0
-  else begin
-    let p = if p < 0.0 then 0.0 else if p > 1.0 then 1.0 else p in
-    let rank = p *. float_of_int n in
-    let rec go b cum =
-      if b >= Histogram.n_buckets then vmax
-      else begin
-        let c = t.scratch.(b) in
-        if c > 0 && float_of_int (cum + c) >= rank then begin
-          let lo = Histogram.bucket_lo b and hi = Histogram.bucket_hi b in
-          let within = (rank -. float_of_int cum) /. float_of_int c in
-          let v = float_of_int lo +. (within *. float_of_int (hi - lo)) in
-          min (max (int_of_float (Float.round v)) vmin) vmax
-        end
-        else go (b + 1) (cum + c)
-      end
-    in
-    go 0 0
-  end
+      (Printf.sprintf "Window.%s: kind %s has no sketch" what (Trace.name kind));
+  h
 
-(* Samples strictly above [threshold], from the log2 buckets: counts every
-   bucket whose low bound already exceeds the threshold, so the answer is
-   conservative (samples sharing the threshold's own bucket are not
-   counted) and at worst a factor-of-two band off — the same fidelity the
-   histogram itself has. *)
+(* Merge-on-read: fold the last N windows' sketches into the scratch one.
+   Merging is exact, so this equals one sketch fed the same samples. *)
+let percentile t ?windows kind ~p =
+  let h = slot_of t kind ~what:"percentile" in
+  Sketch.reset t.scratch;
+  fold_last t ?windows
+    (fun () s -> Sketch.merge ~into:t.scratch t.sketches.((s * t.n_hist) + h))
+    ();
+  Sketch.quantile t.scratch ~p
+
 let over t ?windows kind ~threshold =
-  let i = Trace.index kind in
-  let h = t.hist_slot.(i) in
-  if h < 0 then
-    invalid_arg
-      (Printf.sprintf "Window.over: kind %s has no histogram"
-         (Trace.name kind));
+  let h = slot_of t kind ~what:"over" in
   fold_last t ?windows
     (fun acc s ->
-      let base = ((s * t.n_hist) + h) * Histogram.n_buckets in
-      let acc = ref acc in
-      for b = 0 to Histogram.n_buckets - 1 do
-        if Histogram.bucket_lo b > threshold then
-          acc := !acc + t.hist.(base + b)
-      done;
-      !acc)
+      acc + Sketch.count_above t.sketches.((s * t.n_hist) + h) threshold)
     0
 
 let to_json t ?now () =

@@ -1,5 +1,5 @@
-(** Sliding-window sink: time-bucketed counters and histograms keyed to the
-    {e virtual} clock.
+(** Sliding-window sink: time-bucketed counters and quantile sketches keyed
+    to the {e virtual} clock.
 
     A fixed ring of [buckets] buckets, each [width] virtual cycles wide.
     Rotation is driven by the timestamps events already carry — when a
@@ -7,11 +7,13 @@
     (clearing re-used buckets) — so the window needs no wall clock, never
     advances the virtual clock, and two identical runs age their buckets
     identically. The record path is allocation-free (flat preallocated int
-    arrays); queries merge the last N buckets on read.
+    arrays, sketches reset in place on rotation); queries merge the last N
+    buckets on read.
 
     Per-kind counts and arg sums are kept for every {!Trace.kind}; a
-    configurable subset ([hist_kinds]) additionally keeps per-bucket log2
-    histograms with min/max, enabling {!percentile} and {!over}. *)
+    configurable subset ([hist_kinds]) additionally keeps one {!Sketch}
+    per bucket, enabling {!percentile} and {!over}. Each tracked kind
+    costs about 2.2k words per bucket. *)
 
 type t
 
@@ -25,7 +27,7 @@ val create :
 (** [width] is virtual cycles per bucket, [buckets] the ring size, so the
     window spans [width * buckets] cycles. [hist_kinds] (default
     [Emc_entry; Req_end; Tdcall; Vmcall]) selects the kinds whose arg
-    distribution is bucketed for percentiles. [ghz] (default 2.1, mirroring
+    distribution is sketched for percentiles. [ghz] (default 2.1, mirroring
     [Hw.Cycles.ghz]) converts cycle spans to seconds for {!rate}. *)
 
 val attach : Emitter.t -> t -> t
@@ -65,17 +67,15 @@ val rate : t -> ?windows:int -> ?now:int -> Trace.kind -> float
 (** Events per virtual second over the span ([count / span / ghz]). *)
 
 val percentile : t -> ?windows:int -> Trace.kind -> p:float -> int
-(** Merge-on-read percentile over the last N windows, with
-    {!Histogram.percentile}'s semantics: [p] is clamped to [[0, 1]], the
-    estimate is clamped to the observed [min, max] of the merged span, and
-    an empty span returns 0. Raises [Invalid_argument] for a kind not in
-    [hist_kinds]. *)
+(** Merge-on-read percentile over the last N windows: exactly
+    {!Sketch.quantile} of one sketch fed the span's samples. Raises
+    [Invalid_argument] for a kind not in [hist_kinds]. *)
 
 val over : t -> ?windows:int -> Trace.kind -> threshold:int -> int
-(** Samples whose arg exceeded [threshold], estimated from the log2
-    buckets: counts buckets entirely above the threshold, so the answer is
-    conservative within the histogram's factor-of-two band. Raises
-    [Invalid_argument] for a kind not in [hist_kinds]. *)
+(** Samples whose arg exceeded [threshold], counted from whole sketch
+    buckets above it ({!Sketch.count_above}), so the answer is
+    conservative within one bucket (a factor of about [1 + 2 alpha]).
+    Raises [Invalid_argument] for a kind not in [hist_kinds]. *)
 
 val to_json : t -> ?now:int -> unit -> string
 (** Snapshot of every kind with a nonzero windowed count: count, arg sum,

@@ -48,13 +48,6 @@ type t = {
   requests : Obs.Request.t;
       (* Request-trace collector watching this machine's emitter; the
          attested-channel path mints one trace context per session. *)
-  window : Obs.Window.t option;
-      (* Optional sliding-window sink, attached before boot so live SLO /
-         health telemetry sees the event stream from the first cycle. *)
-  sketches : Obs.Sketch.Family.t option;
-      (* Optional per-kind quantile-sketch family, attached before boot;
-         unlike the log2 histogram its state merges across machines with
-         bounded relative error, which is what fleet aggregation reads. *)
 }
 
 let setting t = t.setting
@@ -64,31 +57,18 @@ let clock t = t.clock
 let obs t = t.cpu.Hw.Cpu.obs
 let counters t = t.counters
 let requests t = t.requests
-let window t = t.window
-let sketches t = t.sketches
 
 let page_size = Hw.Phys_mem.page_size
 
-let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
+let create ?obs ?(backend = Erebor.Isolation.Pks)
     ?(frames = 262144) ?(cma_frames = 65536) ?(reserved_frames = 256)
     ?(collect_request_spans = false) ~setting () =
   let mem = Hw.Phys_mem.create ~frames in
   let clock = Hw.Cycles.clock () in
   let obs = match obs with Some e -> e | None -> Obs.Emitter.create () in
-  (* The flight recorder attaches first so boot events land in the journal
-     before any other sink sees them. *)
-  (match journal with
-  | Some w -> Obs.Journal.Writer.attach ~machine:"sim" w obs
-  | None -> ());
   (* Attach the machine's counter sink before anything boots so every event
      from assembly onward is counted. *)
   let counters = Obs.Counter.attach obs (Obs.Counter.create ()) in
-  (match window with
-  | Some w -> ignore (Obs.Window.attach obs w)
-  | None -> ());
-  (match sketches with
-  | Some f -> ignore (Obs.Sketch.Family.attach obs f)
-  | None -> ());
   let requests = Obs.Request.create ~collect_spans:collect_request_spans () in
   Obs.Request.attach requests ~machine:"sim" obs;
   Obs.with_span obs ~now:(fun () -> Hw.Cycles.now clock) Obs.Trace.Boot
@@ -160,7 +140,7 @@ let create ?obs ?journal ?window ?sketches ?(backend = Erebor.Isolation.Pks)
   {
     setting; mem; clock; cpu; td; host; kern; monitor; mgr; proxy; proxy_buf;
     proxy_fd; scratch_slots; copy_scratch = Bytes.create page_size; counters;
-    requests; window; sketches;
+    requests;
   }
 
 (* Every field below is a per-kind count from the machine's counter sink;

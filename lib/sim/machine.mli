@@ -11,23 +11,14 @@ type t
 
 val create :
   ?obs:Obs.Emitter.t ->
-  ?journal:Obs.Journal.Writer.t ->
-  ?window:Obs.Window.t ->
-  ?sketches:Obs.Sketch.Family.t ->
   ?backend:Erebor.Isolation.kind ->
   ?frames:int -> ?cma_frames:int -> ?reserved_frames:int ->
   ?collect_request_spans:bool -> setting:Config.setting ->
   unit -> t
-(** [?obs] supplies the machine's event emitter — attach sinks (recorders,
-    histograms) to it before [create] to observe boot as well. A fresh
-    emitter is made otherwise. [?journal] attaches a flight-recorder writer
-    (stream name ["sim"]) before any other sink, so the journal holds the
-    complete event stream from machine assembly onward; the emitter's
-    finalizer seals and closes it. [?window] attaches a sliding-window sink
-    before boot, so live SLO/health telemetry covers the full event stream.
-    [?sketches] attaches a per-kind mergeable quantile-sketch family before
-    boot — the per-machine state fleet aggregation ({!Obs.Agg}) merges with
-    bounded relative error.
+(** [?obs] supplies the machine's event emitter — attach sinks (journal
+    writers, sliding windows, sketch families, recorders) to it before
+    [create] to observe boot as well; sinks see events in attach order. A
+    fresh emitter is made otherwise.
     [?backend] picks the monitor's isolation backend (default [Pks], the
     calibrated configuration); it only matters for settings with a monitor.
     [?collect_request_spans] (default false) makes the machine's request
@@ -52,12 +43,6 @@ val requests : t -> Obs.Request.t
     channel client; the collector always tracks request windows and latency,
     and additionally assembles causal span trees when the machine was
     created with [~collect_request_spans:true]. *)
-
-val window : t -> Obs.Window.t option
-(** The sliding-window sink the machine was created with, if any. *)
-
-val sketches : t -> Obs.Sketch.Family.t option
-(** The quantile-sketch family the machine was created with, if any. *)
 
 val snapshot : t -> Stats.snapshot
 

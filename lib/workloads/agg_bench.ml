@@ -29,17 +29,7 @@
 module A = Obs.Agg
 module J = Obs.Journal
 
-let chk ?old_value ?new_value name ok detail =
-  { Bench_gate.name; ok; detail; old_value; new_value }
-
-let rm path = try Sys.remove path with Sys_error _ -> ()
-
-(* [Gc.minor_words] boxes its own result; calibrate that out so the
-   steady-state check can demand an exact zero. *)
-let minor_probe_overhead () =
-  let a = Gc.minor_words () in
-  let b = Gc.minor_words () in
-  b -. a
+let chk = Bench_gate.chk
 
 (* Deterministic LCG so every check is reproducible run to run. *)
 let lcg seed =
@@ -53,38 +43,25 @@ let lcg seed =
 (* ------------------------------------------------------------------ *)
 
 let anchors_check () =
-  let plain = Bench_gate.render_anchors () in
   let fam = Obs.Sketch.Family.create () in
   let part = A.part ~machine:"gate" () in
-  let recorded =
-    Bench_gate.render_anchors
-      ~instrument:(fun obs ->
-        ignore (Obs.Sketch.Family.attach obs fam);
-        ignore (A.attach obs part))
-      ()
-  in
-  chk "agg/anchors-identical" (plain = recorded)
-    (if plain = recorded then
-       Printf.sprintf
-         "Table 3/4 anchors byte-identical with sketch family + aggregator \
-          attached (%d events observed)"
-         (Obs.Counter.total (A.counters part))
-     else "anchor document CHANGED with fleet telemetry attached")
+  Bench_gate.anchors_check ~name:"agg/anchors-identical"
+    ~sink:"sketch family + aggregator" ~changed:"fleet telemetry"
+    ~instrument:(fun obs ->
+      ignore (Obs.Sketch.Family.attach obs fam);
+      ignore (A.attach obs part))
+    ~observed:(fun () ->
+      Printf.sprintf "%d events observed" (Obs.Counter.total (A.counters part)))
 
 let fig9_check () =
   let spec_fn = List.assoc "drugbank" Eval.all_programs in
   let run_one ~telemetry =
     let obs = Obs.Emitter.create () in
-    let sketches =
-      if telemetry then begin
-        ignore (A.attach obs (A.part ~machine:"fig9" ()));
-        Some (Obs.Sketch.Family.create ())
-      end
-      else None
-    in
-    let m =
-      Sim.Machine.create ~obs ?sketches ~setting:Sim.Config.Erebor_full ()
-    in
+    if telemetry then begin
+      ignore (A.attach obs (A.part ~machine:"fig9" ()));
+      ignore (Obs.Sketch.Family.attach obs (Obs.Sketch.Family.create ()))
+    end;
+    let m = Sim.Machine.create ~obs ~setting:Sim.Config.Erebor_full () in
     let r = Sim.Machine.run m (spec_fn ()) in
     (r.Sim.Machine.init_cycles, r.Sim.Machine.run_cycles, Sim.Machine.snapshot m)
   in
@@ -408,21 +385,13 @@ let zero_alloc_check ~smoke =
       ~latency:(1 + (i land 4095))
       ~trace_id:i ~offset:(i * 64) ~ts:i
   done;
-  let probe = minor_probe_overhead () in
-  let m0 = Gc.minor_words () in
-  for i = 0 to n - 1 do
-    A.record p t Obs.Trace.Req_end
-      ~latency:(1 + (i land 4095))
-      ~trace_id:i ~offset:(i land 0xFFFF) ~ts:i
-  done;
-  let dw = Gc.minor_words () -. m0 -. probe in
-  chk ~old_value:"0.0 words/record"
-    ~new_value:(Printf.sprintf "%.4f words/record" (dw /. float_of_int n))
-    "agg/zero-alloc" (dw = 0.0)
-    (Printf.sprintf
-       "%.0f minor words across %d steady-state fleet records (sketch + \
-        heavy-hitter + exemplar)"
-       dw n)
+  Bench_gate.zero_alloc_check ~name:"agg/zero-alloc" ~n ~unit_:"record"
+    ~what:
+      "steady-state fleet records (sketch + heavy-hitter + exemplar)"
+    (fun i ->
+      A.record p t Obs.Trace.Req_end
+        ~latency:(1 + (i land 4095))
+        ~trace_id:i ~offset:(i land 0xFFFF) ~ts:i)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -442,6 +411,6 @@ let run ?(smoke = false) () =
   let invariance = invariance_checks ~seals1 ~seals2 in
   let fleet_acc = fleet_accuracy_check merged reqs in
   let spikes = spike_checks ~journal:j2 merged reqs in
-  rm j1;
-  rm j2;
+  Bench_gate.rm j1;
+  Bench_gate.rm j2;
   (anchors :: fig9 :: accuracy :: fleet_acc :: invariance) @ spikes @ [ alloc ]

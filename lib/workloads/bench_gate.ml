@@ -632,3 +632,38 @@ let render_anchors ?instrument () =
     t4;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
+
+(* {2 Shared telemetry-gate checks} *)
+
+let rm path = try Sys.remove path with Sys_error _ -> ()
+
+let anchors_check ~name ~sink ~changed ~instrument ~observed =
+  let plain = render_anchors () in
+  let recorded = render_anchors ~instrument () in
+  let seen = observed () in
+  chk name (plain = recorded)
+    (if plain = recorded then
+       Printf.sprintf "Table 3/4 anchors byte-identical with %s attached (%s)"
+         sink seen
+     else Printf.sprintf "anchor document CHANGED with %s attached" changed)
+
+(* [Gc.minor_words] boxes its own result, so two back-to-back calls differ
+   by a small constant; calibrate it out so the check can demand an exact
+   zero. *)
+let minor_probe_overhead () =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  b -. a
+
+let zero_alloc_check ~name ~n ~unit_ ~what record =
+  let probe = minor_probe_overhead () in
+  let m0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    record i
+  done;
+  let dw = Gc.minor_words () -. m0 -. probe in
+  chk
+    ~old_value:(Printf.sprintf "0.0 words/%s" unit_)
+    ~new_value:(Printf.sprintf "%.4f words/%s" (dw /. float_of_int n) unit_)
+    name (dw = 0.0)
+    (Printf.sprintf "%.0f minor words across %d %s" dw n what)

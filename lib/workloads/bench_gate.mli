@@ -111,3 +111,25 @@ val render_anchors : ?instrument:(Obs.Emitter.t -> unit) -> unit -> string
     fail. [?instrument] is threaded to {!Eval.table3}/{!Eval.table4}; the
     rendered document must be byte-identical with or without sinks
     attached (observability never advances the virtual clock). *)
+
+(** {2 Checks shared by the sink gates ([bench journal], [bench agg])} *)
+
+val chk :
+  ?old_value:string -> ?new_value:string -> string -> bool -> string -> check
+
+val rm : string -> unit
+(** Remove a scratch file, ignoring a missing one. *)
+
+val anchors_check :
+  name:string -> sink:string -> changed:string ->
+  instrument:(Obs.Emitter.t -> unit) -> observed:(unit -> string) -> check
+(** {!render_anchors} bare and with [instrument] on every bench machine
+    must match. [observed ()] runs after both renders and describes what
+    the sinks saw; [sink] / [changed] name the sink in the pass / fail
+    detail. *)
+
+val zero_alloc_check :
+  name:string -> n:int -> unit_:string -> what:string -> (int -> unit) ->
+  check
+(** Exactly 0 minor words over [record 0 .. record (n-1)] (warm it up
+    first), calibrated for the cost of reading [Gc.minor_words]. *)

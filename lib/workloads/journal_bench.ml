@@ -25,37 +25,18 @@
 
 module J = Obs.Journal
 
-let chk ?old_value ?new_value name ok detail =
-  { Bench_gate.name; ok; detail; old_value; new_value }
-
-let rm path = try Sys.remove path with Sys_error _ -> ()
-
-(* [Gc.minor_words] boxes its own result, so two back-to-back calls differ
-   by a small constant; calibrate it out so the steady-state check can
-   demand an exact zero. *)
-let minor_probe_overhead () =
-  let a = Gc.minor_words () in
-  let b = Gc.minor_words () in
-  b -. a
+let chk = Bench_gate.chk
+let rm = Bench_gate.rm
 
 let anchors_check scratch =
-  let plain = Bench_gate.render_anchors () in
   let w = J.Writer.create ~segment_bytes:(1 lsl 20) ~path:scratch () in
-  let recorded =
-    Bench_gate.render_anchors
-      ~instrument:(fun obs -> J.Writer.attach w obs)
-      ()
-  in
-  if not (J.Writer.closed w) then J.Writer.close w ~now:0;
-  let events = J.Writer.events w in
-  rm scratch;
-  chk "journal/anchors-identical" (plain = recorded)
-    (if plain = recorded then
-       Printf.sprintf
-         "Table 3/4 anchors byte-identical with recorder attached (%d \
-          events journaled)"
-         events
-     else "anchor document CHANGED with a journal writer attached")
+  Bench_gate.anchors_check ~name:"journal/anchors-identical" ~sink:"recorder"
+    ~changed:"a journal writer"
+    ~instrument:(fun obs -> J.Writer.attach w obs)
+    ~observed:(fun () ->
+      if not (J.Writer.closed w) then J.Writer.close w ~now:0;
+      rm scratch;
+      Printf.sprintf "%d events journaled" (J.Writer.events w))
 
 (* One recorded drugbank run under full Erebor: returns the journal path
    (caller removes), the live counter sink, and the recording's CPU cost. *)
@@ -119,19 +100,15 @@ let zero_alloc_check ~smoke scratch =
   for i = 1 to 1024 do
     J.Writer.record w ~stream:s Obs.Trace.Page_fault ~ts:i ~arg:(i * 64)
   done;
-  let probe = minor_probe_overhead () in
-  let m0 = Gc.minor_words () in
-  for i = 0 to n - 1 do
-    J.Writer.record w ~stream:s Obs.Trace.Page_fault ~ts:(1024 + i)
-      ~arg:(i land 4095 * 64)
-  done;
-  let dw = Gc.minor_words () -. m0 -. probe in
+  let check =
+    Bench_gate.zero_alloc_check ~name:"journal/zero-alloc" ~n ~unit_:"event"
+      ~what:"steady-state records" (fun i ->
+        J.Writer.record w ~stream:s Obs.Trace.Page_fault ~ts:(1024 + i)
+          ~arg:(i land 4095 * 64))
+  in
   J.Writer.close w ~now:(1024 + n);
   rm scratch;
-  chk ~old_value:"0.0 words/event"
-    ~new_value:(Printf.sprintf "%.4f words/event" (dw /. float_of_int n))
-    "journal/zero-alloc" (dw = 0.0)
-    (Printf.sprintf "%.0f minor words across %d steady-state records" dw n)
+  check
 
 let diff_checks ~rec_path ~slow_path =
   let self =

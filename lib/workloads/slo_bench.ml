@@ -376,7 +376,8 @@ let clean_fig9 ?jobs ?(smoke = false) () =
           (Obs.Dash.create ~label:program ~slo ~refresh_cycles:105_000_000
              ~window ())
       in
-      let m = Sim.Machine.create ~obs ~window ~setting:Sim.Config.Erebor_full () in
+      ignore (Obs.Window.attach obs window);
+      let m = Sim.Machine.create ~obs ~setting:Sim.Config.Erebor_full () in
       ignore (Sim.Machine.run m (spec_fn ()));
       Obs.Slo.evaluate slo ~now:(Hw.Cycles.now (Sim.Machine.clock m));
       ignore (Obs.Dash.refreshes dash);
