@@ -17,6 +17,8 @@
                                     #  --tenants narrow the matrix)
      bench/main.exe attrib          # per-domain/per-phase cycle attribution
                                     # (--smoke: first program only, the @ci cut)
+     bench/main.exe slo             # live-SLO gate: seeded stall + clean runs
+                                    # (--smoke: @ci cut; --tenants N >= 2)
      bench/main.exe icode           # decoded-instruction cache microbenchmark
      bench/main.exe check           # regression gate vs committed BENCH_sim.json
                                     # (--from-journal FILE: verify a recording)
@@ -28,7 +30,10 @@
                       (default: Domain.recommended_domain_count)
      --scale F        multiply simulated workload durations by F (default 1.0)
      --baseline PATH  baseline file for check/journal (default BENCH_sim.json)
-     --full           "check" also compares every Fig. 9 row  *)
+     --full           "check" also compares every Fig. 9 row
+
+   The gates (check, density, attrib, slo, journal, agg) build their named
+   checks in lib/workloads and report through the one [report_verdict]. *)
 
 module C = Workloads.Cli
 
@@ -44,6 +49,23 @@ let line width = print_endline (String.make width '-')
 let header title =
   Printf.printf "\n%s\n" title;
   line (String.length title)
+
+(* The one gate verdict path. Every check goes to stdout, then PASS — or,
+   on stderr so a failing @ci rule shows it in the dune log, the old/new
+   table of every failing check, the FAIL count and the command that
+   reproduces the run. *)
+let report_verdict verdict =
+  Format.printf "%a@?" Workloads.Bench_gate.pp_verdict verdict;
+  match Workloads.Bench_gate.failures verdict with
+  | [] -> Printf.printf "PASS: %d checks\n" (List.length verdict)
+  | fails ->
+      flush stdout;
+      Format.eprintf "%a@?" Workloads.Bench_gate.pp_mismatch_table verdict;
+      Printf.eprintf "FAIL: %d of %d checks failed\n" (List.length fails)
+        (List.length verdict);
+      Printf.eprintf "reproduce: bench/main.exe %s\n%!"
+        (String.concat " " (List.tl (Array.to_list Sys.argv)));
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Table 3                                                             *)
@@ -313,28 +335,15 @@ let print_density () =
         r.frames_per_tenant r.emc_per_request r.emc_interference_pct
         r.worst_p99 r.violations)
     rows;
-  let total_violations =
-    List.fold_left
-      (fun acc (r : Workloads.Density.scale_row) -> acc + r.violations)
-      0 rows
-  in
-  Printf.printf
-    "(adversarial probe per machine: cross-tenant confined map, TME-MK key-id\n\
-    \ forgery, sealed-common writable map — %d attempts not denied)\n"
-    total_violations;
-  if total_violations > 0 then begin
-    Printf.eprintf "density: %d isolation violations\n" total_violations;
-    exit 1
-  end
+  report_verdict (Workloads.Density.checks rows)
 
 (* ------------------------------------------------------------------ *)
 (* Live SLO telemetry: seeded degradation + clean-workload silence      *)
 (* ------------------------------------------------------------------ *)
 
-let print_slo () =
+let print_slo ~tenants =
   header "Live SLO telemetry: seeded mid-run stall, per-tenant attribution";
   let backend = Option.value !backend_arg ~default:Erebor.Isolation.Pks in
-  let tenants = Option.value !tenants_arg ~default:4 in
   let rounds = if !smoke_arg then 16 else 40 in
   let stall_rounds = if !smoke_arg then 3 else 4 in
   let r = Workloads.Slo_bench.run ~backend ~tenants ~rounds ~stall_rounds () in
@@ -362,21 +371,12 @@ let print_slo () =
     (if r.Workloads.Slo_bench.audit_intact then "intact" else "BROKEN");
   header "Clean Fig. 9 workloads: SLOs must stay silent";
   let clean = Workloads.Slo_bench.clean_fig9 ?jobs:!jobs_arg ~smoke:!smoke_arg () in
-  let clean_failures =
-    List.concat_map
-      (fun (program, fired) ->
-        Printf.printf "%-10s %s\n" program
-          (if fired = [] then "silent" else "FIRED " ^ String.concat "," fired);
-        List.map (fun o -> program ^ ": clean run fired " ^ o) fired)
-      clean
-  in
-  let failures = r.Workloads.Slo_bench.failures @ clean_failures in
-  if failures <> [] then begin
-    List.iter (fun f -> Printf.eprintf "slo: %s\n" f) failures;
-    exit 1
-  end;
-  Printf.printf
-    "PASS: alert + demotion on the seeded tenant only; clean runs silent\n"
+  List.iter
+    (fun (program, fired) ->
+      Printf.printf "%-10s %s\n" program
+        (if fired = [] then "silent" else "FIRED " ^ String.concat "," fired))
+    clean;
+  report_verdict (Workloads.Slo_bench.checks r ~clean)
 
 (* ------------------------------------------------------------------ *)
 (* Qualitative tables (1, 2, 7)                                        *)
@@ -569,24 +569,17 @@ let print_attrib () =
       let total = float_of_int r.total_cycles in
       Printf.printf "\n%s @ %s  (%d cycles)\n" r.aprogram
         (Sim.Config.name r.asetting) r.total_cycles;
-      let attributed = ref 0 in
       List.iter
         (fun (domain, phase, cycles) ->
-          attributed := !attributed + cycles;
           Printf.printf "  %-8s %-10s %14d  %6.2f%%\n" domain phase cycles
             (100.0 *. float_of_int cycles /. total))
         r.contexts;
       Printf.printf "  %-8s %-10s %14d  %6.2f%%\n" "-" "(outside)"
         r.unattributed_cycles
-        (100.0 *. float_of_int r.unattributed_cycles /. total);
-      if !attributed + r.unattributed_cycles <> r.total_cycles then begin
-        Printf.printf "  CONSERVATION VIOLATED: %d attributed + %d outside <> %d total\n"
-          !attributed r.unattributed_cycles r.total_cycles;
-        exit 1
-      end)
+        (100.0 *. float_of_int r.unattributed_cycles /. total))
     rows;
-  Printf.printf
-    "\n(every row's contexts + (outside) sum exactly to its total — checked)\n"
+  print_newline ();
+  report_verdict (Workloads.Bench_gate.attrib_checks rows)
 
 (* ------------------------------------------------------------------ *)
 (* Decoded-instruction cache microbenchmark                            *)
@@ -648,19 +641,6 @@ let print_icode () =
 (* Regression gate against the committed BENCH_sim.json                *)
 (* ------------------------------------------------------------------ *)
 
-let report_verdict ~baseline ~pass_detail verdict =
-  let fails = Workloads.Bench_gate.failures verdict in
-  if fails = [] then
-    Printf.printf "PASS: %d checks (%s)\n" (List.length verdict) pass_detail
-  else begin
-    (* All mismatches in one old/new table — one run is enough to see
-       the full extent of a regression. *)
-    Format.printf "%a" Workloads.Bench_gate.pp_mismatch_table verdict;
-    Printf.printf "FAIL: %d of %d checks failed against %s\n"
-      (List.length fails) (List.length verdict) baseline;
-    exit 1
-  end
-
 let run_check ~baseline ~full ~from_journal () =
   let result =
     match from_journal with
@@ -674,17 +654,10 @@ let run_check ~baseline ~full ~from_journal () =
              baseline);
         Workloads.Bench_gate.check_journal_file ~journal ~path:baseline ()
   in
-  match result with
-  | Error e ->
-      Printf.eprintf "bench check: %s\n" e;
-      exit 1
-  | Ok verdict ->
-      report_verdict ~baseline
-        ~pass_detail:
-          (match from_journal with
-          | None -> "anchors exact, wall/GC within tolerance"
-          | Some _ -> "recording reproduces the baseline Fig. 9 row")
-        verdict
+  report_verdict
+    (match result with
+    | Ok verdict -> verdict
+    | Error e -> [ Workloads.Bench_gate.chk "baseline" false e ])
 
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder gate (observability subsystem)                      *)
@@ -693,12 +666,7 @@ let run_check ~baseline ~full ~from_journal () =
 let run_journal ~baseline () =
   header
     "Flight-recorder gate: invisible, lossless, allocation-free, diffable";
-  let verdict = Workloads.Journal_bench.run ~smoke:!smoke_arg ~baseline () in
-  Format.printf "%a" Workloads.Bench_gate.pp_verdict verdict;
-  report_verdict ~baseline
-    ~pass_detail:
-      "anchors byte-identical under recording, replay exact, 0 words/event"
-    verdict
+  report_verdict (Workloads.Journal_bench.run ~smoke:!smoke_arg ~baseline ())
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-telemetry gate (mergeable sketches / heavy hitters / exemplars) *)
@@ -708,13 +676,7 @@ let run_agg () =
   header
     "Fleet-telemetry gate: invisible, order-invariant, allocation-free, \
      attributable";
-  let verdict = Workloads.Agg_bench.run ~smoke:!smoke_arg () in
-  Format.printf "%a" Workloads.Bench_gate.pp_verdict verdict;
-  report_verdict ~baseline:"Obs.Agg determinism contract"
-    ~pass_detail:
-      "anchors identical, quantiles within bound, merge order-invariant, \
-       0 words/record, spike attributable"
-    verdict
+  report_verdict (Workloads.Agg_bench.run ~smoke:!smoke_arg ())
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_sim.json — machine-readable run record for regression diffing *)
@@ -744,19 +706,6 @@ let peak_rss_kb () =
     scan ()
   with Sys_error _ -> None
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_bench_json ~path ~timings ~total_wall_s =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -775,7 +724,7 @@ let write_bench_json ~path ~timings ~total_wall_s =
   add "  \"targets\": [\n";
   List.iteri
     (fun i (name, wall) ->
-      add "    { \"name\": \"%s\", \"wall_s\": %.6f }%s\n" (json_escape name) wall
+      add "    { \"name\": \"%s\", \"wall_s\": %.6f }%s\n" (Obs.Wire.escape_json name) wall
         (if i = List.length timings - 1 then "" else ","))
     timings;
   add "  ],\n";
@@ -786,7 +735,7 @@ let write_bench_json ~path ~timings ~total_wall_s =
   List.iteri
     (fun i (r : Workloads.Eval.transition_row) ->
       add "    { \"transition\": \"%s\", \"cycles\": %d, \"paper_cycles\": %d }%s\n"
-        (json_escape r.transition) r.cycles r.paper_cycles
+        (Obs.Wire.escape_json r.transition) r.cycles r.paper_cycles
         (if i = List.length t3 - 1 then "" else ","))
     t3;
   add "  ],\n";
@@ -796,7 +745,7 @@ let write_bench_json ~path ~timings ~total_wall_s =
     (fun i (r : Workloads.Eval.privop_row) ->
       add
         "    { \"op\": \"%s\", \"native_cycles\": %d, \"erebor_cycles\": %d }%s\n"
-        (json_escape r.op) r.native_cycles r.erebor_cycles
+        (Obs.Wire.escape_json r.op) r.native_cycles r.erebor_cycles
         (if i = List.length t4 - 1 then "" else ","))
     t4;
   add "  ],\n";
@@ -807,8 +756,8 @@ let write_bench_json ~path ~timings ~total_wall_s =
       add
         "    { \"program\": \"%s\", \"setting\": \"%s\", \"overhead_pct\": %.4f, \
          \"pf_rate\": %.2f, \"timer_rate\": %.2f, \"ve_rate\": %.2f, \"emc_rate\": %.2f }%s\n"
-        (json_escape r.program)
-        (json_escape (Sim.Config.name r.setting))
+        (Obs.Wire.escape_json r.program)
+        (Obs.Wire.escape_json (Sim.Config.name r.setting))
         r.overhead_pct r.pf_rate r.timer_rate r.ve_rate r.emc_rate
         (if i = List.length rows - 1 then "" else ","))
     rows;
@@ -868,7 +817,9 @@ let backend_flag =
      calibrated backends)."
 
 let tenants_flag =
-  C.flag ~docv:"N" [ "--tenants" ] "Single tenant count for the scaling matrix."
+  C.flag ~docv:"N" [ "--tenants" ]
+    "Tenant count: one point of the density scaling matrix, or the slo \
+     tenant count (>= 2, default 4)."
 
 let baseline_flag =
   C.flag ~docv:"PATH" [ "--baseline" ]
@@ -939,8 +890,8 @@ let () =
           print_density ());
       target "slo"
         ~flags:(exp_flags @ [ smoke_flag; backend_flag; tenants_flag ])
-        "Live SLO telemetry: seeded degradation + clean-run silence" (fun _ ->
-          print_slo ());
+        "Live SLO telemetry: seeded degradation + clean-run silence" (fun p ->
+          print_slo ~tenants:(C.int_of p ~min:2 ~default:4 tenants_flag));
       target "ablations" "Design-choice ablations (DESIGN.md)" (fun _ ->
           print_ablations ());
       target "tables-qual" "Qualitative tables (1, 2, 7)" (fun _ ->

@@ -90,24 +90,8 @@ let finalized t = t.finalized
 let length t = if t.finalized then t.count - 1 else t.count
 let records t = List.rev t.records
 
-(* JSON string escaping for [detail]/[category]; mirrors Chrome.escape_json
-   but kept local so the verifier's unescape stays next to it. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* The inverse of Wire.escape_json for [detail]/[category], kept next to
+   the verifier that parses records back. *)
 let unescape s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
@@ -135,8 +119,8 @@ let unescape s =
 let record_line r =
   Printf.sprintf
     {|{"seq":%d,"ts":%d,"category":"%s","verdict":"%s","detail":"%s","mac":"%s"}|}
-    r.seq r.ts (escape r.category) (verdict_name r.verdict) (escape r.detail)
-    r.mac
+    r.seq r.ts (Wire.escape_json r.category) (verdict_name r.verdict)
+    (Wire.escape_json r.detail) r.mac
 
 let to_string t =
   let buf = Buffer.create (64 * (t.count + 1)) in

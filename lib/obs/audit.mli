@@ -57,4 +57,8 @@ val verify_string : key:bytes -> string -> (int, string) result
     [Error msg] pinpoints the first failure (malformed line, sequence gap,
     MAC mismatch, missing/inconsistent close record). *)
 
+val unescape : string -> string
+(** The inverse of {!Wire.escape_json}, used by {!verify_string} to read
+    [category] / [detail] back. *)
+
 val pp_record : Format.formatter -> record -> unit

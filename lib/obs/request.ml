@@ -193,7 +193,7 @@ let rec span_json buf s =
 let seg_json buf s =
   Printf.bprintf buf
     {|{"machine":"%s","root":%b,"t0":%d,"t1":%d,"cycles":%d,"spans":[|}
-    (Chrome.escape_json s.machine)
+    (Wire.escape_json s.machine)
     s.root s.seg_t0 s.seg_t1 (s.seg_t1 - s.seg_t0);
   List.iteri
     (fun i sp ->
@@ -250,19 +250,19 @@ let to_chrome_json t ~trace_id =
   List.iteri
     (fun tid s ->
       ev {|{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"%s"}}|}
-        tid (Chrome.escape_json s.machine);
+        tid (Wire.escape_json s.machine);
       ev {|{"name":"request %d @ %s","cat":"request","ph":"B","ts":%d,"pid":0,"tid":%d}|}
-        trace_id (Chrome.escape_json s.machine) s.seg_t0 tid;
+        trace_id (Wire.escape_json s.machine) s.seg_t0 tid;
       let rec walk sp =
         ev {|{"name":"%s","cat":"span","ph":"B","ts":%d,"pid":0,"tid":%d}|}
-          (Chrome.escape_json (Trace.phase_name sp.phase)) sp.t0 tid;
+          (Wire.escape_json (Trace.phase_name sp.phase)) sp.t0 tid;
         List.iter walk sp.children;
         ev {|{"name":"%s","cat":"span","ph":"E","ts":%d,"pid":0,"tid":%d}|}
-          (Chrome.escape_json (Trace.phase_name sp.phase)) sp.t1 tid
+          (Wire.escape_json (Trace.phase_name sp.phase)) sp.t1 tid
       in
       List.iter walk s.spans;
       ev {|{"name":"request %d @ %s","cat":"request","ph":"E","ts":%d,"pid":0,"tid":%d}|}
-        trace_id (Chrome.escape_json s.machine) s.seg_t1 tid)
+        trace_id (Wire.escape_json s.machine) s.seg_t1 tid)
     (tree t ~trace_id);
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

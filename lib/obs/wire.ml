@@ -64,3 +64,29 @@ let string s pos =
   let r = String.sub s !pos len in
   pos := !pos + len;
   r
+
+(* JSON string bodies: quote, backslash and the control characters, with
+   the short forms for \n \r \t. A string with nothing to escape is
+   returned as is. *)
+let escape_json s =
+  let plain = ref true in
+  String.iter
+    (fun c -> if c = '"' || c = '\\' || Char.code c < 0x20 then plain := false)
+    s;
+  if !plain then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end

@@ -1,6 +1,7 @@
 (** The one varint codec behind every telemetry wire format: the journal
     (EJRN1), sketches (ESK1), heavy hitters (ETK1), exemplars (EXM1) and
-    fleet snapshots (EAG1).
+    fleet snapshots (EAG1) — plus the one JSON string escaper behind every
+    JSON exporter (Chrome traces, metrics, audit records, snapshots).
 
     Unsigned varints are LEB128 over the full 63-bit pattern of an int (a
     negative int is 9 bytes); signed varints zigzag first, so every int
@@ -36,3 +37,9 @@ val byte : string -> int ref -> int
 val uvarint : string -> int ref -> int
 val svarint : string -> int ref -> int
 val string : string -> int ref -> string
+
+(** {2 JSON strings} *)
+
+val escape_json : string -> string
+(** JSON string-body escaping: quote, backslash, [\n] [\r] [\t], and every
+    other control character as [\u00XX]. *)

@@ -81,21 +81,17 @@ let fig9_check () =
 (* 2. Merged percentiles vs the exact sort oracle                      *)
 (* ------------------------------------------------------------------ *)
 
-(* rank ceil(p * n), 1-based over the sorted stream — the order statistic
-   Sketch.quantile targets. *)
-let oracle sorted ~p =
-  let n = Array.length sorted in
-  let idx = int_of_float (Float.ceil (p *. float_of_int n)) in
-  sorted.(max 0 (min (n - 1) (idx - 1)))
-
-let quantile_errors ~alpha ~ps merged values =
+(* Every quantile in [ps] of the merged sketch within the relative-error
+   bound of the exact nearest-rank value of [values]. *)
+let accuracy name ~ps merged values detail =
+  let alpha = A.alpha merged in
   let sorted = Array.copy values in
   Array.sort compare sorted;
   let worst = ref 0.0 in
   let ok =
     List.for_all
       (fun p ->
-        let exact = oracle sorted ~p in
+        let exact = Bench_gate.nearest_rank sorted ~p in
         let est = A.quantile merged ~p in
         let err = float_of_int (abs (est - exact)) in
         let bound = (alpha *. float_of_int exact) +. 1.0 in
@@ -104,7 +100,10 @@ let quantile_errors ~alpha ~ps merged values =
         err <= bound)
       ps
   in
-  (ok, !worst)
+  chk
+    ~old_value:(Printf.sprintf "bound %.2f%%" (100.0 *. alpha))
+    ~new_value:(Printf.sprintf "worst %.3f%%" (100.0 *. !worst))
+    name ok detail
 
 let accuracy_check ~smoke =
   let n = if smoke then 20_000 else 100_000 in
@@ -126,12 +125,8 @@ let accuracy_check ~smoke =
         ~trace_id:i ~offset:(-1) ~ts:i)
     values;
   let merged = A.merge_all (Array.to_list (Array.map A.seal parts)) in
-  let ps = [ 0.50; 0.90; 0.95; 0.99; 0.999 ] in
-  let ok, worst = quantile_errors ~alpha:(A.alpha merged) ~ps merged values in
-  chk
-    ~old_value:(Printf.sprintf "bound %.2f%%" (100.0 *. A.alpha merged))
-    ~new_value:(Printf.sprintf "worst %.3f%%" (100.0 *. worst))
-    "agg/accuracy-oracle" ok
+  accuracy "agg/accuracy-oracle" ~ps:[ 0.50; 0.90; 0.95; 0.99; 0.999 ] merged
+    values
     (Printf.sprintf
        "%d heavy-tailed samples over 5 merged parts: p50/p90/p95/p99/p999 \
         within the relative-error bound of the exact sort oracle"
@@ -276,12 +271,7 @@ let invariance_checks ~seals1 ~seals2 =
 
 let fleet_accuracy_check merged reqs =
   let values = Array.of_list (List.map (fun q -> q.q_latency) reqs) in
-  let ps = [ 0.50; 0.95; 0.99 ] in
-  let ok, worst = quantile_errors ~alpha:(A.alpha merged) ~ps merged values in
-  chk
-    ~old_value:(Printf.sprintf "bound %.2f%%" (100.0 *. A.alpha merged))
-    ~new_value:(Printf.sprintf "worst %.3f%%" (100.0 *. worst))
-    "agg/fleet-accuracy" ok
+  accuracy "agg/fleet-accuracy" ~ps:[ 0.50; 0.95; 0.99 ] merged values
     (Printf.sprintf
        "fleet p50/p95/p99 over %d simulated requests within the \
         relative-error bound of the exact sort oracle"
@@ -319,15 +309,9 @@ let spike_checks ~journal merged reqs =
     match A.exemplar_for merged ~p:0.99 with
     | None -> chk "agg/exemplar-resolves" false "no p99 exemplar in the fleet"
     | Some e -> (
-        let spike =
-          List.fold_left
-            (fun acc q -> match acc with
-              | Some _ -> acc
-              | None -> if q.q_trace = e.Obs.Exemplar.i_trace_id then Some q
-                        else None)
-            None reqs
-        in
-        match spike with
+        match
+          List.find_opt (fun q -> q.q_trace = e.Obs.Exemplar.i_trace_id) reqs
+        with
         | None ->
             chk "agg/exemplar-resolves" false
               (Printf.sprintf "p99 exemplar trace %#x matches no recorded \

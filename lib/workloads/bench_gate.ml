@@ -169,7 +169,6 @@ module Json = struct
   let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
   let mem_of key j = Option.bind j (member key)
   let to_float = function Some (Num f) -> Some f | _ -> None
-  let to_int j = Option.map int_of_float (to_float j)
   let to_str = function Some (Str s) -> Some s | _ -> None
   let to_arr = function Some (Arr l) -> l | _ -> []
 end
@@ -206,78 +205,69 @@ let pp_mismatch_table fmt v =
   let fails = failures v in
   if fails <> [] then begin
     let cell = function Some s -> s | None -> "-" in
-    let w_name =
-      List.fold_left (fun w c -> max w (String.length c.name)) 24 fails
-    in
-    let w_old =
+    let width title f =
       List.fold_left
-        (fun w c -> max w (String.length (cell c.old_value)))
-        (String.length "old (baseline)") fails
+        (fun w c -> max w (String.length (f c)))
+        (String.length title) fails
     in
-    let w_new =
-      List.fold_left
-        (fun w c -> max w (String.length (cell c.new_value)))
-        (String.length "new (regenerated)") fails
-    in
-    Format.fprintf fmt "  %-*s  %-*s  %-*s@." w_name "check" w_old
-      "old (baseline)" w_new "new (regenerated)";
+    let w_name = max 24 (width "check" (fun c -> c.name)) in
+    let w_old = width "old (baseline)" (fun c -> cell c.old_value) in
+    let w_new = width "new (regenerated)" (fun c -> cell c.new_value) in
+    Format.fprintf fmt "  %-*s  %-*s  %s@." w_name "check" w_old
+      "old (baseline)" "new (regenerated)";
     Format.fprintf fmt "  %s  %s  %s@." (String.make w_name '-')
       (String.make w_old '-') (String.make w_new '-');
     List.iter
       (fun c ->
-        Format.fprintf fmt "  %-*s  %-*s  %-*s@." w_name c.name w_old
-          (cell c.old_value) w_new (cell c.new_value);
+        Format.fprintf fmt "  %-*s  %-*s  %s@." w_name c.name w_old
+          (cell c.old_value) (cell c.new_value);
         if c.old_value = None && c.new_value = None then
           Format.fprintf fmt "  %-*s    %s@." w_name "" c.detail)
       fails
   end
 
-(* One check per anchor: [probe] extracts the baseline row's identity and
-   expectation, [current] the regenerated value. *)
-let anchor_checks ~family ~baseline_rows ~key_field ~current ~fields =
+(* One baseline field against its regenerated value [cur]: the baseline
+   number is rendered with [render], the precision [cur] was printed at,
+   and the two strings must be equal. *)
+let field_check ?(source = "regenerated") ~render name row field cur =
+  match Json.to_float (Json.member field row) with
+  | None -> chk ~new_value:cur name false "missing in baseline"
+  | Some base ->
+      let old_value = render base in
+      chk ~old_value ~new_value:cur name (old_value = cur)
+        (if old_value = cur then cur
+         else Printf.sprintf "baseline %s, %s %s" old_value source cur)
+
+(* The baseline rows of one anchor family against the regenerated
+   [current] rows (key -> rendered fields): one check per field, named
+   [family/key.field], plus a coverage check that every regenerated row
+   has a baseline row. *)
+let rows_checks ~family ~key ~render ~current baseline_rows =
   let seen = ref [] in
   let row_checks =
     List.concat_map
       (fun row ->
-        match Json.to_str (Json.member key_field row) with
-        | None ->
-            [ chk family false ("baseline row without " ^ key_field) ]
-        | Some key -> (
-            seen := key :: !seen;
-            match List.assoc_opt key current with
+        match key row with
+        | None -> [ chk family false "baseline row without a key" ]
+        | Some k -> (
+            seen := k :: !seen;
+            match List.assoc_opt k current with
             | None ->
                 [
-                  chk
-                    (Printf.sprintf "%s/%s" family key)
-                    false "anchor present in baseline but not regenerated";
+                  chk (family ^ "/" ^ k) false
+                    "anchor present in baseline but not regenerated";
                 ]
-            | Some cur_fields ->
+            | Some fields ->
                 List.map
-                  (fun (field, cur_value) ->
-                    let name = Printf.sprintf "%s/%s.%s" family key field in
-                    match Json.to_int (Json.member field row) with
-                    | None ->
-                        chk ~new_value:(string_of_int cur_value) name false
-                          "missing in baseline"
-                    | Some base_value ->
-                        let old_value = string_of_int base_value in
-                        let new_value = string_of_int cur_value in
-                        if base_value = cur_value then
-                          chk ~old_value ~new_value name true new_value
-                        else
-                          chk ~old_value ~new_value name false
-                            (Printf.sprintf "baseline %d, regenerated %d"
-                               base_value cur_value))
-                  (List.filter
-                     (fun (f, _) -> List.mem f fields)
-                     cur_fields)))
+                  (fun (field, cur) ->
+                    field_check ~render:(render field)
+                      (Printf.sprintf "%s/%s.%s" family k field)
+                      row field cur)
+                  fields))
       baseline_rows
   in
   let coverage =
-    let missing =
-      List.filter (fun (key, _) -> not (List.mem key !seen)) current
-    in
-    match missing with
+    match List.filter (fun (k, _) -> not (List.mem k !seen)) current with
     | [] ->
         chk (family ^ "/coverage") true
           (Printf.sprintf "%d anchors" (List.length current))
@@ -288,46 +278,65 @@ let anchor_checks ~family ~baseline_rows ~key_field ~current ~fields =
   in
   row_checks @ [ coverage ]
 
+let str_key field row = Json.to_str (Json.member field row)
+let int_field _ f = string_of_int (int_of_float f)
+
+let table_checks ~family ~key_field ~baseline current =
+  rows_checks ~family ~key:(str_key key_field) ~render:int_field
+    ~current:
+      (List.map
+         (fun (k, fields) ->
+           (k, List.map (fun (f, v) -> (f, string_of_int v)) fields))
+         current)
+    (Json.to_arr (Json.member family baseline))
+
+(* Fig. 9 rows are compared at the precision BENCH_sim.json prints them. *)
+let fig9_field field v =
+  Printf.sprintf (if field = "overhead_pct" then "%.4f" else "%.2f") v
+
 let fig9_checks ~baseline ~jobs =
-  let rows = Eval.fig9 ?jobs () in
-  let current =
-    List.map
-      (fun (r : Eval.program_row) ->
-        ( (r.Eval.program, Sim.Config.name r.Eval.setting),
-          [
-            ("overhead_pct", Printf.sprintf "%.4f" r.Eval.overhead_pct);
-            ("pf_rate", Printf.sprintf "%.2f" r.Eval.pf_rate);
-            ("timer_rate", Printf.sprintf "%.2f" r.Eval.timer_rate);
-            ("ve_rate", Printf.sprintf "%.2f" r.Eval.ve_rate);
-            ("emc_rate", Printf.sprintf "%.2f" r.Eval.emc_rate);
-          ] ))
-      rows
+  let key row =
+    match (str_key "program" row, str_key "setting" row) with
+    | Some p, Some s -> Some (p ^ ":" ^ s)
+    | _ -> None
   in
-  let fmt_of field = if field = "overhead_pct" then format_of_string "%.4f" else format_of_string "%.2f" in
-  List.concat_map
-    (fun row ->
-      let key =
-        ( Option.value ~default:"?" (Json.to_str (Json.member "program" row)),
-          Option.value ~default:"?" (Json.to_str (Json.member "setting" row)) )
-      in
-      let label = Printf.sprintf "fig9/%s:%s" (fst key) (snd key) in
-      match List.assoc_opt key current with
-      | None -> [ chk label false "row not regenerated" ]
-      | Some fields ->
-          List.map
-            (fun (field, cur) ->
-              let name = Printf.sprintf "%s.%s" label field in
-              match Json.to_float (Json.member field row) with
-              | None -> chk ~new_value:cur name false "missing in baseline"
-              | Some base ->
-                  let base = Printf.sprintf (fmt_of field) base in
-                  if base = cur then
-                    chk ~old_value:base ~new_value:cur name true cur
-                  else
-                    chk ~old_value:base ~new_value:cur name false
-                      (Printf.sprintf "baseline %s, regenerated %s" base cur))
-            fields)
+  rows_checks ~family:"fig9" ~key ~render:fig9_field
+    ~current:
+      (List.map
+         (fun (r : Eval.program_row) ->
+           ( r.Eval.program ^ ":" ^ Sim.Config.name r.Eval.setting,
+             List.map
+               (fun (f, v) -> (f, fig9_field f v))
+               [
+                 ("overhead_pct", r.Eval.overhead_pct);
+                 ("pf_rate", r.Eval.pf_rate);
+                 ("timer_rate", r.Eval.timer_rate);
+                 ("ve_rate", r.Eval.ve_rate);
+                 ("emc_rate", r.Eval.emc_rate);
+               ] ))
+         (Eval.fig9 ?jobs ()))
     (Json.to_arr (Json.member "fig9" baseline))
+
+(* A host-cost budget: [measured] must stay within [tolerance] times the
+   baseline suite's figure [base]. *)
+let budget_check name ~what ~render ~tolerance ~base measured =
+  let budget = tolerance *. base in
+  chk ~old_value:("budget " ^ render budget) ~new_value:(render measured) name
+    (measured <= budget)
+    (Printf.sprintf "%s %s, budget %s (%.1fx baseline suite)" what
+       (render measured) (render budget) tolerance)
+
+(* Backend pinning, row by row: the default install against an explicit
+   PKS machine, on the cycles column [cycles] picks. *)
+let pin_checks family ~key ~cycles default pks =
+  List.map2
+    (fun d p ->
+      let dv = cycles d and pv = cycles p in
+      chk ~old_value:(string_of_int dv) ~new_value:(string_of_int pv)
+        (Printf.sprintf "backend/%s-pks/%s" family (key d))
+        (dv = pv)
+        (Printf.sprintf "default %d, explicit pks %d" dv pv))
+    default pks
 
 let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
     ?(gc_tolerance = 0.5) baseline =
@@ -335,42 +344,30 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
   let minor0 = Gc.minor_words () in
   let major0 = (Gc.quick_stat ()).Gc.major_words in
   let schema =
+    let want = "erebor-bench-sim/1" in
     match Json.to_str (Json.member "schema" baseline) with
-    | Some "erebor-bench-sim/1" ->
-        chk ~old_value:"erebor-bench-sim/1" ~new_value:"erebor-bench-sim/1"
-          "schema" true "erebor-bench-sim/1"
-    | Some other ->
-        chk ~old_value:other ~new_value:"erebor-bench-sim/1" "schema" false
-          ("unknown schema " ^ other)
-    | None ->
-        chk ~new_value:"erebor-bench-sim/1" "schema" false
-          "missing schema field"
+    | Some s ->
+        chk ~old_value:s ~new_value:want "schema" (s = want)
+          (if s = want then want else "unknown schema " ^ s)
+    | None -> chk ~new_value:want "schema" false "missing schema field"
   in
   let t3 =
-    anchor_checks ~family:"table3"
-      ~baseline_rows:(Json.to_arr (Json.member "table3" baseline))
-      ~key_field:"transition"
-      ~current:
-        (List.map
-           (fun (r : Eval.transition_row) ->
-             (r.Eval.transition, [ ("cycles", r.Eval.cycles) ]))
-           (Eval.table3 ()))
-      ~fields:[ "cycles" ]
+    table_checks ~family:"table3" ~key_field:"transition" ~baseline
+      (List.map
+         (fun (r : Eval.transition_row) ->
+           (r.Eval.transition, [ ("cycles", r.Eval.cycles) ]))
+         (Eval.table3 ()))
   in
   let t4 =
-    anchor_checks ~family:"table4"
-      ~baseline_rows:(Json.to_arr (Json.member "table4" baseline))
-      ~key_field:"op"
-      ~current:
-        (List.map
-           (fun (r : Eval.privop_row) ->
-             ( r.Eval.op,
-               [
-                 ("native_cycles", r.Eval.native_cycles);
-                 ("erebor_cycles", r.Eval.erebor_cycles);
-               ] ))
-           (Eval.table4 ()))
-      ~fields:[ "native_cycles"; "erebor_cycles" ]
+    table_checks ~family:"table4" ~key_field:"op" ~baseline
+      (List.map
+         (fun (r : Eval.privop_row) ->
+           ( r.Eval.op,
+             [
+               ("native_cycles", r.Eval.native_cycles);
+               ("erebor_cycles", r.Eval.erebor_cycles);
+             ] ))
+         (Eval.table4 ()))
   in
   (* Backend pinning: the committed anchors were calibrated under the PKS
      backend, so the gate holds two invariants — the default install still
@@ -397,30 +394,16 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
          else "default isolation backend is no longer pks")
     in
     let pks_t3 =
-      List.map2
-        (fun (d : Eval.transition_row) (p : Eval.transition_row) ->
-          let name = Printf.sprintf "backend/table3-pks/%s" d.Eval.transition in
-          chk
-            ~old_value:(string_of_int d.Eval.cycles)
-            ~new_value:(string_of_int p.Eval.cycles)
-            name
-            (d.Eval.cycles = p.Eval.cycles)
-            (Printf.sprintf "default %d, explicit pks %d" d.Eval.cycles
-               p.Eval.cycles))
+      pin_checks "table3"
+        ~key:(fun (r : Eval.transition_row) -> r.Eval.transition)
+        ~cycles:(fun r -> r.Eval.cycles)
         (Eval.table3 ())
         (Eval.table3 ~backend:Erebor.Isolation.Pks ())
     in
     let pks_t4 =
-      List.map2
-        (fun (d : Eval.privop_row) (p : Eval.privop_row) ->
-          let name = Printf.sprintf "backend/table4-pks/%s" d.Eval.op in
-          chk
-            ~old_value:(string_of_int d.Eval.erebor_cycles)
-            ~new_value:(string_of_int p.Eval.erebor_cycles)
-            name
-            (d.Eval.erebor_cycles = p.Eval.erebor_cycles)
-            (Printf.sprintf "default %d, explicit pks %d" d.Eval.erebor_cycles
-               p.Eval.erebor_cycles))
+      pin_checks "table4"
+        ~key:(fun (r : Eval.privop_row) -> r.Eval.op)
+        ~cycles:(fun r -> r.Eval.erebor_cycles)
         (Eval.table4 ())
         (Eval.table4 ~backend:Erebor.Isolation.Pks ())
     in
@@ -431,18 +414,11 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
   let minor = Gc.minor_words () -. minor0 in
   let wall =
     match Json.to_float (Json.member "total_wall_s" baseline) with
-    | None -> [ chk "wall" true "no baseline wall time" ]
+    | None -> chk "wall" true "no baseline wall time"
     | Some base ->
-        let budget = wall_tolerance *. base in
-        [
-          chk
-            ~old_value:(Printf.sprintf "budget %.3fs" budget)
-            ~new_value:(Printf.sprintf "%.3fs cpu" cpu)
-            "wall" (cpu <= budget)
-            (Printf.sprintf
-               "regeneration %.3fs cpu, budget %.3fs (%.1fx baseline suite)"
-               cpu budget wall_tolerance);
-        ]
+        budget_check "wall" ~what:"regeneration cpu"
+          ~render:(Printf.sprintf "%.3fs")
+          ~tolerance:wall_tolerance ~base cpu
   in
   (* Minor AND major words are bounded against the committed full-suite
      totals: the anchor regeneration allocates a small fraction of either,
@@ -450,33 +426,34 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
      order-of-magnitude allocation regression on the hot paths. *)
   let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
   let gc_bound label words =
-    match Json.to_float (Json.mem_of (label ^ "_words") (Json.member "gc" baseline)) with
-    | None -> [ chk ("gc-" ^ label) true "no baseline GC stats" ]
+    match
+      Json.to_float (Json.mem_of (label ^ "_words") (Json.member "gc" baseline))
+    with
+    | None -> chk ("gc-" ^ label) true "no baseline GC stats"
     | Some base ->
-        let budget = gc_tolerance *. base in
-        [
-          chk
-            ~old_value:(Printf.sprintf "budget %.0f words" budget)
-            ~new_value:(Printf.sprintf "%.0f %s words" words label)
-            ("gc-" ^ label) (words <= budget)
-            (Printf.sprintf
-               "regeneration %.0f %s words, budget %.0f (%.1fx baseline suite)"
-               words label budget gc_tolerance);
-        ]
+        budget_check ("gc-" ^ label) ~what:("regeneration " ^ label)
+          ~render:(Printf.sprintf "%.0f words")
+          ~tolerance:gc_tolerance ~base words
   in
-  (schema :: t3) @ t4 @ backend_pin @ f9 @ wall
-  @ gc_bound "minor" minor @ gc_bound "major" major
+  (schema :: t3) @ t4 @ backend_pin @ f9
+  @ [ wall; gc_bound "minor" minor; gc_bound "major" major ]
+
+let parse_baseline json =
+  Result.map_error (fun e -> "baseline JSON: " ^ e) (Json.parse json)
 
 let check_string ?fig9 ?jobs ?wall_tolerance ?gc_tolerance json =
-  match Json.parse json with
-  | Result.Error e -> Result.Error ("baseline JSON: " ^ e)
-  | Result.Ok baseline ->
-      Result.Ok (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance baseline)
+  Result.map
+    (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance)
+    (parse_baseline json)
+
+let read_baseline path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | json -> parse_baseline json
+  | exception Sys_error e -> Result.Error e
 
 let check_file ?fig9 ?jobs ?wall_tolerance ?gc_tolerance ~path () =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | json -> check_string ?fig9 ?jobs ?wall_tolerance ?gc_tolerance json
-  | exception Sys_error e -> Result.Error e
+  Result.map (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance)
+    (read_baseline path)
 
 (* Anchor verification against a flight recording: the journal's Run-span
    slice must reproduce the baseline's Fig. 9 rate row for the (workload,
@@ -560,8 +537,8 @@ let check_journal ~journal baseline =
                 let row =
                   List.find_opt
                     (fun r ->
-                      Json.to_str (Json.member "program" r) = Some program
-                      && Json.to_str (Json.member "setting" r) = Some setting)
+                      str_key "program" r = Some program
+                      && str_key "setting" r = Some setting)
                     (Json.to_arr (Json.member "fig9" baseline))
                 in
                 let rates =
@@ -576,21 +553,10 @@ let check_journal ~journal baseline =
                   | Some row ->
                       List.map
                         (fun (field, n) ->
-                          let name = Printf.sprintf "journal/%s" field in
-                          let cur = Printf.sprintf "%.2f" (rate n) in
-                          match Json.to_float (Json.member field row) with
-                          | None ->
-                              chk ~new_value:cur name false
-                                "missing in baseline"
-                          | Some base ->
-                              let base = Printf.sprintf "%.2f" base in
-                              if base = cur then
-                                chk ~old_value:base ~new_value:cur name true
-                                  cur
-                              else
-                                chk ~old_value:base ~new_value:cur name false
-                                  (Printf.sprintf
-                                     "baseline %s/s, recording %s/s" base cur))
+                          field_check ~source:"recording"
+                            ~render:(fig9_field field) ("journal/" ^ field)
+                            row field
+                            (fig9_field field (rate n)))
                         [
                           ("pf_rate", !pf);
                           ("timer_rate", !ti);
@@ -601,12 +567,7 @@ let check_journal ~journal baseline =
                 complete :: span :: rates))
 
 let check_journal_file ~journal ~path () =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | json -> (
-      match Json.parse json with
-      | Result.Error e -> Result.Error ("baseline JSON: " ^ e)
-      | Result.Ok baseline -> Result.Ok (check_journal ~journal baseline))
-  | exception Sys_error e -> Result.Error e
+  Result.map (check_journal ~journal) (read_baseline path)
 
 (* A minimal baseline covering just the exact anchors, regenerated from the
    current build — lets tests exercise the gate (and seed mismatches into
@@ -632,6 +593,38 @@ let render_anchors ?instrument () =
     t4;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
+
+(* {2 Checks of the experiment gates} *)
+
+(* Span-accounting conservation, one check per attribution row: the
+   per-context cycles plus (outside) must sum exactly to the total. *)
+let attrib_checks rows =
+  List.map
+    (fun (r : Eval.attrib_row) ->
+      let attributed =
+        List.fold_left (fun acc (_, _, c) -> acc + c) 0 r.Eval.contexts
+      in
+      let sum = attributed + r.Eval.unattributed_cycles in
+      chk
+        ~old_value:(string_of_int r.Eval.total_cycles)
+        ~new_value:(string_of_int sum)
+        (Printf.sprintf "attrib/%s:%s/conservation" r.Eval.aprogram
+           (Sim.Config.name r.Eval.asetting))
+        (sum = r.Eval.total_cycles)
+        (Printf.sprintf "%d attributed + %d outside %s %d total" attributed
+           r.Eval.unattributed_cycles
+           (if sum = r.Eval.total_cycles then "=" else "<>")
+           r.Eval.total_cycles))
+    rows
+
+(* Rank ceil(p * n), 1-based over a sorted array (0 when empty): the
+   nearest-rank order statistic Sketch.quantile targets. *)
+let nearest_rank sorted ~p =
+  match Array.length sorted with
+  | 0 -> 0
+  | n ->
+      let idx = int_of_float (Float.ceil (p *. float_of_int n)) in
+      sorted.(max 0 (min (n - 1) (idx - 1)))
 
 (* {2 Shared telemetry-gate checks} *)
 

@@ -56,21 +56,6 @@ val pp_mismatch_table : Format.formatter -> verdict -> unit
     (baseline value vs regenerated value), so one run shows the complete
     set of drifted anchors. Prints nothing when the verdict passes. *)
 
-val check_json :
-  ?fig9:bool ->
-  ?jobs:int ->
-  ?wall_tolerance:float ->
-  ?gc_tolerance:float ->
-  Json.t ->
-  verdict
-(** Run the gate against an already-parsed baseline. [wall_tolerance]
-    (default 1.5) bounds the regeneration CPU time at that multiple of the
-    baseline's [total_wall_s]; [gc_tolerance] (default 0.5) bounds minor
-    and major allocation at that multiple of the baseline suite's
-    [gc.minor_words] / [gc.major_words]. The budgets cover (a fraction of)
-    a full suite while the gate regenerates only anchors, so they catch
-    order-of-magnitude regressions without noise. *)
-
 val check_string :
   ?fig9:bool ->
   ?jobs:int ->
@@ -78,7 +63,14 @@ val check_string :
   ?gc_tolerance:float ->
   string ->
   (verdict, string) result
-(** Parse [json] and run the gate; [Error] on malformed JSON. *)
+(** Parse a baseline document and run the gate against it; [Error] on
+    malformed JSON. [wall_tolerance] (default 1.5) bounds the regeneration
+    CPU time at that multiple of the baseline's [total_wall_s];
+    [gc_tolerance] (default 0.5) bounds minor and major allocation at that
+    multiple of the baseline suite's [gc.minor_words] / [gc.major_words].
+    The budgets cover (a fraction of) a full suite while the gate
+    regenerates only anchors, so they catch order-of-magnitude regressions
+    without noise. *)
 
 val check_file :
   ?fig9:bool ->
@@ -88,6 +80,7 @@ val check_file :
   path:string ->
   unit ->
   (verdict, string) result
+(** {!check_string} on the baseline file at [path]. *)
 
 val check_journal : journal:string -> Json.t -> verdict
 (** Verify a flight recording ({!Obs.Journal}) written by
@@ -104,6 +97,9 @@ val check_journal_file :
 (** [check_journal] against the baseline JSON at [path] — the engine behind
     [bench check --from-journal FILE]. *)
 
+val read_baseline : string -> (Json.t, string) result
+(** Read and parse the baseline file at a path. *)
+
 val render_anchors : ?instrument:(Obs.Emitter.t -> unit) -> unit -> string
 (** A minimal baseline document (schema + exact Table 3 / Table 4 anchors)
     regenerated from the current build. Tests use this to construct a
@@ -111,6 +107,19 @@ val render_anchors : ?instrument:(Obs.Emitter.t -> unit) -> unit -> string
     fail. [?instrument] is threaded to {!Eval.table3}/{!Eval.table4}; the
     rendered document must be byte-identical with or without sinks
     attached (observability never advances the virtual clock). *)
+
+(** {2 Checks of the experiment gates ([bench attrib], [bench density],
+    [bench slo])} *)
+
+val attrib_checks : Eval.attrib_row list -> verdict
+(** One [attrib/<program>:<setting>/conservation] check per row: the
+    per-context cycles plus [unattributed_cycles] must sum exactly to
+    [total_cycles]. *)
+
+val nearest_rank : int array -> p:float -> int
+(** The rank-[ceil (p * n)] element of a sorted array, [p] in [\[0, 1\]];
+    [0] for an empty array. The exact percentile oracle of the density and
+    fleet-telemetry gates. *)
 
 (** {2 Checks shared by the sink gates ([bench journal], [bench agg])} *)
 
@@ -127,6 +136,13 @@ val anchors_check :
     must match. [observed ()] runs after both renders and describes what
     the sinks saw; [sink] / [changed] name the sink in the pass / fail
     detail. *)
+
+val budget_check :
+  string -> what:string -> render:(float -> string) -> tolerance:float ->
+  base:float -> float -> check
+(** [budget_check name ~what ~render ~tolerance ~base measured]: a host
+    cost ([measured], rendered with [render]) within [tolerance] times the
+    baseline suite's figure [base]. *)
 
 val zero_alloc_check :
   name:string -> n:int -> unit_:string -> what:string -> (int -> unit) ->

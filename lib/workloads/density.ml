@@ -14,6 +14,7 @@
      the machine counters, latency from request root windows. *)
 
 let page_size = Hw.Phys_mem.page_size
+let chk = Bench_gate.chk
 
 (* ------------------------------------------------------------------ *)
 (* Per-backend Fig. 9 overhead                                         *)
@@ -110,12 +111,78 @@ let confined_pages_per_tenant = 16
 let common_pages = 64
 let common_instance = "density-corpus"
 
-let percentile sorted ~p =
-  match Array.length sorted with
-  | 0 -> 0
-  | n ->
-      let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      sorted.(max 0 (min (n - 1) idx))
+(* ------------------------------------------------------------------ *)
+(* One tenant: provisioning and one monitored request                  *)
+(* ------------------------------------------------------------------ *)
+
+type tenant = { sb : Erebor.Sandbox.t; base : int; common_base : int }
+
+let provision mgr ~common i =
+  let name = Printf.sprintf "tenant-%d" (i + 1) in
+  let sb =
+    Result.get_ok
+      (Erebor.Sandbox.create_sandbox mgr ~name
+         ~confined_budget:(confined_pages_per_tenant * page_size))
+  in
+  let base =
+    Result.get_ok
+      (Erebor.Sandbox.declare_confined mgr sb
+         ~len:(confined_pages_per_tenant * page_size))
+  in
+  let common_base =
+    Result.get_ok
+      (Erebor.Sandbox.attach_common mgr sb ~name:common
+         ~size:(common_pages * page_size))
+  in
+  let input = Bytes.make 256 (Char.chr (Char.code 'a' + (i mod 26))) in
+  (match Erebor.Sandbox.load_client_data mgr sb input with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  { sb; base; common_base }
+
+(* The monitored request skeleton of §6: a CR3 switch into the tenant,
+   confined + common touches (the TLB-fill path is where TME-MK charges
+   its key loads), the channel ioctls, and a timer tick. *)
+let serve m t ~round ~index =
+  let mgr = Option.get (Sim.Machine.manager m) in
+  let kern = Sim.Machine.kern m in
+  let cpu = kern.Kernel.cpu in
+  let user_touch addr =
+    cpu.Hw.Cpu.mode <- Hw.Cpu.User;
+    ignore (Hw.Cpu.read_u8 cpu addr);
+    cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor
+  in
+  let task = Erebor.Sandbox.main_task t.sb in
+  kern.Kernel.privops.Kernel.Privops.write_cr3
+    ~root_pfn:task.Kernel.Task.root_pfn;
+  for p = 0 to 3 do
+    user_touch
+      (t.base + (((round + p) mod confined_pages_per_tenant) * page_size))
+  done;
+  (* One demand-paged common page plus a warm re-read. *)
+  let caddr =
+    t.common_base + (((round + index) mod common_pages) * page_size)
+  in
+  (match Kernel.resolve_pfn kern task ~addr:caddr with
+  | Some _ -> ()
+  | None -> (
+      match
+        Erebor.Sandbox.page_fault mgr t.sb ~addr:caddr ~kind:Hw.Fault.Read
+      with
+      | Ok () -> ()
+      | Error e -> failwith e));
+  user_touch caddr;
+  let fd = Erebor.Sandbox.channel_fd t.sb in
+  let syscall = Erebor.Sandbox.handle_syscall mgr t.sb in
+  (match syscall (Kernel.Syscall.Ioctl { fd; request = 1; arg = Bytes.empty }) with
+  | Kernel.Syscall.Rbytes _ -> ()
+  | _ -> failwith "tenant request: input fetch failed");
+  (match
+     syscall (Kernel.Syscall.Ioctl { fd; request = 2; arg = Bytes.make 32 'r' })
+   with
+  | Kernel.Syscall.Rok -> ()
+  | _ -> failwith "tenant request: output emit failed");
+  Erebor.Sandbox.timer_tick mgr t.sb
 
 (* The adversarial probe: every attack goes through the monitored PTE path
    a compromised kernel would use; a denial raises [Policy_violation]. The
@@ -150,16 +217,13 @@ let adversarial_probe m mgr backend_kind =
   let violations = ref 0 in
   let attempt f = if not (denied f) then incr violations in
   let guard = Erebor.Monitor.guard monitor in
-  let confined_pfn_of sb =
-    (* First confined frame of [sb], straight from the guard's registry. *)
+  (* The first frame of a class, straight from the guard's registry. *)
+  let find_frame wanted =
     let frames = Hw.Phys_mem.frames mem in
     let rec scan pfn =
       if pfn >= frames then None
-      else
-        match Erebor.Mmu_guard.class_of guard pfn with
-        | Erebor.Mmu_guard.Confined { owner } when owner = Erebor.Sandbox.id sb ->
-            Some pfn
-        | _ -> scan (pfn + 1)
+      else if wanted (Erebor.Mmu_guard.class_of guard pfn) then Some pfn
+      else scan (pfn + 1)
     in
     scan 0
   in
@@ -169,7 +233,11 @@ let adversarial_probe m mgr backend_kind =
      hide behind tenant 1. *)
   List.iter
     (fun sb ->
-      match confined_pfn_of sb with
+      match
+        find_frame (function
+          | Erebor.Mmu_guard.Confined { owner } -> owner = Erebor.Sandbox.id sb
+          | _ -> false)
+      with
       | None -> ()
       | Some victim ->
           attempt (fun () ->
@@ -196,19 +264,11 @@ let adversarial_probe m mgr backend_kind =
   end;
   (* 3. Writable mapping of a sealed common frame from outside any
      sandbox. *)
-  let common_pfn =
-    let frames = Hw.Phys_mem.frames mem in
-    let rec scan pfn =
-      if pfn >= frames then None
-      else
-        match Erebor.Mmu_guard.class_of guard pfn with
-        | Erebor.Mmu_guard.Common { instance } when instance = common_instance ->
-            Some pfn
-        | _ -> scan (pfn + 1)
-    in
-    scan 0
-  in
-  (match common_pfn with
+  (match
+     find_frame (function
+       | Erebor.Mmu_guard.Common { instance } -> instance = common_instance
+       | _ -> false)
+   with
   | None -> ()
   | Some pfn ->
       attempt (fun () ->
@@ -222,87 +282,29 @@ let scale_point ~backend ~tenants ~requests_per_tenant =
       ~setting:Sim.Config.Erebor_full ()
   in
   let mgr = Option.get (Sim.Machine.manager m) in
-  let kern = Sim.Machine.kern m in
-  let cpu = kern.Kernel.cpu in
   let requests = Sim.Machine.requests m in
   (* Provision and seal every tenant up front — the steady multi-tenant
      state the curve measures. *)
-  let tenant_setup = Array.init tenants (fun i ->
-      let name = Printf.sprintf "tenant-%d" (i + 1) in
-      let sb =
-        Result.get_ok
-          (Erebor.Sandbox.create_sandbox mgr ~name
-             ~confined_budget:(confined_pages_per_tenant * page_size))
-      in
-      let base =
-        Result.get_ok
-          (Erebor.Sandbox.declare_confined mgr sb
-             ~len:(confined_pages_per_tenant * page_size))
-      in
-      let common_base =
-        Result.get_ok
-          (Erebor.Sandbox.attach_common mgr sb ~name:common_instance
-             ~size:(common_pages * page_size))
-      in
-      let input = Bytes.make 256 (Char.chr (Char.code 'a' + (i mod 26))) in
-      (match Erebor.Sandbox.load_client_data mgr sb input with
-      | Ok _ -> ()
-      | Error e -> failwith e);
-      (sb, base, common_base))
+  let tenant_setup =
+    Array.init tenants (provision mgr ~common:common_instance)
   in
   let before = Sim.Machine.snapshot m in
-  (* Round-robin request traffic: each request is one root window over a
-     CR3 switch into the tenant, confined + common touches (the TLB-fill
-     path is where TME-MK charges its key loads), the channel ioctls, and
-     a timer tick — the monitored request skeleton of §6. *)
+  (* Round-robin request traffic, one root window per request. *)
   let trace_owner = Hashtbl.create 64 in
-  let user_touch addr =
-    cpu.Hw.Cpu.mode <- Hw.Cpu.User;
-    ignore (Hw.Cpu.read_u8 cpu addr);
-    cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor
+  let emit kind cx =
+    Obs.Emitter.emit (Sim.Machine.obs m) kind
+      ~ts:(Hw.Cycles.now (Sim.Machine.clock m))
+      ~arg:(Obs.Request.pack cx ~root:true)
   in
   for round = 0 to requests_per_tenant - 1 do
     Array.iteri
-      (fun i (sb, base, common_base) ->
-        if Erebor.Sandbox.kill_reason sb = None then begin
-          let task = Erebor.Sandbox.main_task sb in
+      (fun i t ->
+        if Erebor.Sandbox.kill_reason t.sb = None then begin
           let cx = Obs.Request.mint requests in
           Hashtbl.replace trace_owner cx.Obs.Request.trace_id i;
-          Obs.Emitter.emit (Sim.Machine.obs m) Obs.Trace.Req_begin
-            ~ts:(Hw.Cycles.now (Sim.Machine.clock m))
-            ~arg:(Obs.Request.pack cx ~root:true);
-          kern.Kernel.privops.Kernel.Privops.write_cr3
-            ~root_pfn:task.Kernel.Task.root_pfn;
-          for p = 0 to 3 do
-            user_touch (base + (((round + p) mod confined_pages_per_tenant) * page_size))
-          done;
-          (* One demand-paged common page plus a warm re-read. *)
-          let caddr = common_base + (((round + i) mod common_pages) * page_size) in
-          (match Kernel.resolve_pfn kern task ~addr:caddr with
-          | Some _ -> ()
-          | None -> (
-              match Erebor.Sandbox.page_fault mgr sb ~addr:caddr ~kind:Hw.Fault.Read with
-              | Ok () -> ()
-              | Error e -> failwith e));
-          user_touch caddr;
-          (match
-             Erebor.Sandbox.handle_syscall mgr sb
-               (Kernel.Syscall.Ioctl { fd = Erebor.Sandbox.channel_fd sb; request = 1; arg = Bytes.empty })
-           with
-          | Kernel.Syscall.Rbytes _ -> ()
-          | _ -> failwith "density: input fetch failed");
-          (match
-             Erebor.Sandbox.handle_syscall mgr sb
-               (Kernel.Syscall.Ioctl
-                  { fd = Erebor.Sandbox.channel_fd sb; request = 2;
-                    arg = Bytes.make 32 'r' })
-           with
-          | Kernel.Syscall.Rok -> ()
-          | _ -> failwith "density: output emit failed");
-          Erebor.Sandbox.timer_tick mgr sb;
-          Obs.Emitter.emit (Sim.Machine.obs m) Obs.Trace.Req_end
-            ~ts:(Hw.Cycles.now (Sim.Machine.clock m))
-            ~arg:(Obs.Request.pack cx ~root:true)
+          emit Obs.Trace.Req_begin cx;
+          serve m t ~round ~index:i;
+          emit Obs.Trace.Req_end cx
         end)
       tenant_setup
   done;
@@ -320,18 +322,15 @@ let scale_point ~backend ~tenants ~requests_per_tenant =
     trace_owner;
   let tenant_rows =
     List.mapi
-      (fun i (sb, _, _) ->
-        let sorted =
-          let a = Array.of_list per_tenant.(i) in
-          Array.sort compare a;
-          a
-        in
+      (fun i t ->
+        let sorted = Array.of_list per_tenant.(i) in
+        Array.sort compare sorted;
         {
-          tenant_id = Erebor.Sandbox.id sb;
-          tenant_name = Erebor.Sandbox.name sb;
+          tenant_id = Erebor.Sandbox.id t.sb;
+          tenant_name = Erebor.Sandbox.name t.sb;
           treqs = Array.length sorted;
-          t_p50 = percentile sorted ~p:50.0;
-          t_p99 = percentile sorted ~p:99.0;
+          t_p50 = Bench_gate.nearest_rank sorted ~p:0.50;
+          t_p99 = Bench_gate.nearest_rank sorted ~p:0.99;
         })
       (Array.to_list tenant_setup)
   in
@@ -398,4 +397,17 @@ let scaling ?jobs ?(smoke = false) ?(backends = default_backends)
           (if base > 0.0 then 100.0 *. ((r.emc_per_request /. base) -. 1.0)
            else 0.0);
       })
+    rows
+
+let checks rows =
+  List.map
+    (fun r ->
+      chk ~old_value:"0"
+        ~new_value:(string_of_int r.violations)
+        (Printf.sprintf "density/%s/%d/violations"
+           (Erebor.Isolation.kind_name r.sbackend)
+           r.tenants)
+        (r.violations = 0)
+        (Printf.sprintf "%d adversarial probe attempts not denied"
+           r.violations))
     rows

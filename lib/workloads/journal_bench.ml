@@ -38,27 +38,32 @@ let anchors_check scratch =
       rm scratch;
       Printf.sprintf "%d events journaled" (J.Writer.events w))
 
-(* One recorded drugbank run under full Erebor: returns the journal path
-   (caller removes), the live counter sink, and the recording's CPU cost. *)
-let recorded_run ~path () =
-  let spec_fn = List.assoc "drugbank" Eval.all_programs in
-  let cpu0 = Sys.time () in
+(* Run [spec] under full Erebor with a journal writer on the machine's bus,
+   recording to [path] (caller removes); returns the live counter sink. *)
+let record ~path ~workload spec =
   let obs = Obs.Emitter.create () in
   let w =
     J.Writer.create
       ~meta:
         [
-          ("workload", "drugbank");
+          ("workload", workload);
           ("setting", Sim.Config.name Sim.Config.Erebor_full);
         ]
       ~path ()
   in
   J.Writer.attach ~machine:"sim" w obs;
   let m = Sim.Machine.create ~obs ~setting:Sim.Config.Erebor_full () in
-  ignore (Sim.Machine.run m (spec_fn ()));
+  ignore (Sim.Machine.run m spec);
   Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m));
-  let cpu = Sys.time () -. cpu0 in
-  (Sim.Machine.counters m, cpu)
+  Sim.Machine.counters m
+
+(* One recorded drugbank run: the live counter sink and the recording's
+   CPU cost. *)
+let recorded_run ~path () =
+  let spec_fn = List.assoc "drugbank" Eval.all_programs in
+  let cpu0 = Sys.time () in
+  let live = record ~path ~workload:"drugbank" (spec_fn ()) in
+  (live, Sys.time () -. cpu0)
 
 let replay_check ~path live =
   let robs = Obs.Emitter.create () in
@@ -163,56 +168,31 @@ let seeded_slow_run ~rec_path ~path () =
         max 1_000_000 (run_self / 4)
     | Result.Error _ -> 100_000_000
   in
-  let spec_fn = List.assoc "drugbank" Eval.all_programs in
-  let spec = spec_fn () in
-  let slow =
-    {
-      spec with
-      Sim.Machine.body =
-        (fun ops ->
-          spec.Sim.Machine.body ops;
-          ops.Sim.Machine.compute extra);
-    }
+  let spec = (List.assoc "drugbank" Eval.all_programs) () in
+  let body ops =
+    spec.Sim.Machine.body ops;
+    ops.Sim.Machine.compute extra
   in
-  let obs = Obs.Emitter.create () in
-  let w =
-    J.Writer.create
-      ~meta:
-        [
-          ("workload", "drugbank+seeded-slowdown");
-          ("setting", Sim.Config.name Sim.Config.Erebor_full);
-        ]
-      ~path ()
-  in
-  J.Writer.attach ~machine:"sim" w obs;
-  let m = Sim.Machine.create ~obs ~setting:Sim.Config.Erebor_full () in
-  ignore (Sim.Machine.run m slow);
-  Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m))
+  ignore
+    (record ~path ~workload:"drugbank+seeded-slowdown"
+       { spec with Sim.Machine.body })
 
-let wall_check ~baseline ~cpu =
-  match In_channel.with_open_bin baseline In_channel.input_all with
-  | exception Sys_error e -> chk "journal/record-wall" false e
-  | json -> (
-      match Bench_gate.Json.parse json with
-      | Result.Error e -> chk "journal/record-wall" false ("baseline JSON: " ^ e)
-      | Result.Ok b -> (
-          match Bench_gate.Json.member "total_wall_s" b with
-          | Some (Bench_gate.Json.Num base) ->
-              let budget = 1.5 *. base in
-              chk
-                ~old_value:(Printf.sprintf "budget %.3fs" budget)
-                ~new_value:(Printf.sprintf "%.3fs cpu" cpu)
-                "journal/record-wall" (cpu <= budget)
-                (Printf.sprintf
-                   "recorded run %.3fs cpu, budget %.3fs (1.5x baseline \
-                    suite wall)"
-                   cpu budget)
-          | _ -> chk "journal/record-wall" false "baseline lacks total_wall_s"))
-
-let from_journal_checks ~baseline ~rec_path =
-  match Bench_gate.check_journal_file ~journal:rec_path ~path:baseline () with
-  | Result.Error e -> [ chk "journal/from-journal" false e ]
-  | Result.Ok verdict -> verdict
+(* A missing or malformed baseline fails both checks that compare against
+   it. *)
+let baseline_checks ~baseline ~rec_path ~cpu =
+  match Bench_gate.read_baseline baseline with
+  | Result.Error e ->
+      [ chk "journal/record-wall" false e; chk "journal/from-journal" false e ]
+  | Result.Ok b ->
+      let wall =
+        match Bench_gate.Json.member "total_wall_s" b with
+        | Some (Bench_gate.Json.Num base) ->
+            Bench_gate.budget_check "journal/record-wall"
+              ~what:"recorded run cpu" ~render:(Printf.sprintf "%.3fs")
+              ~tolerance:1.5 ~base cpu
+        | _ -> chk "journal/record-wall" false "baseline lacks total_wall_s"
+      in
+      wall :: Bench_gate.check_journal ~journal:rec_path b
 
 let run ?(smoke = false) ?(baseline = "BENCH_sim.json") () =
   let rec_path = ".journal-bench.rec.ejrn" in
@@ -224,8 +204,7 @@ let run ?(smoke = false) ?(baseline = "BENCH_sim.json") () =
   let alloc = zero_alloc_check ~smoke scratch in
   seeded_slow_run ~rec_path ~path:slow_path ();
   let diffs = diff_checks ~rec_path ~slow_path in
-  let wall = wall_check ~baseline ~cpu in
-  let from_journal = from_journal_checks ~baseline ~rec_path in
+  let against_baseline = baseline_checks ~baseline ~rec_path ~cpu in
   rm rec_path;
   rm slow_path;
-  (anchors :: replay :: alloc :: diffs) @ (wall :: from_journal)
+  (anchors :: replay :: alloc :: diffs) @ against_baseline

@@ -1,9 +1,10 @@
 (* Live-SLO bench driver (see slo_bench.mli).
 
    One Erebor_full machine hosts N sealed tenants served round-robin
-   through the real monitored request paths (the Density skeleton). Each
-   tenant gets its own sliding window and a latency SLO over it; one shared
-   health watchdog tracks every tenant. Mid-run, ONE tenant is seeded with
+   through the real monitored request paths (Density.provision and
+   Density.serve, shared with the density gate). Each tenant gets its own
+   sliding window and a latency SLO over it; one shared health watchdog
+   tracks every tenant. Mid-run, ONE tenant is seeded with
    a degradation: its requests go silent — the virtual clock advances with
    no monitor calls — long past the EMC-stall and deadline watchdogs, then
    complete with a huge latency that lands in its window.
@@ -13,7 +14,7 @@
    its neighbours' objectives stay silent — and every transition must land
    on the telemetry emitter's tamper-evident audit chain. *)
 
-let page_size = Hw.Phys_mem.page_size
+let chk = Bench_gate.chk
 
 (* Virtual-time telemetry geometry: 1M-cycle buckets, a 64-bucket ring;
    fast = 5 buckets, slow = 30 — the 5-min/1-hour pair scaled down to
@@ -62,20 +63,12 @@ type report = {
   health_events : int;
   audit_records : int;
   audit_intact : bool;
-  failures : string list;
-  snapshot : string;
 }
-
-let worst a b =
-  let rank = function
-    | Obs.Health.Healthy -> 0
-    | Obs.Health.Degraded -> 1
-    | Obs.Health.Unhealthy -> 2
-  in
-  if rank b > rank a then b else a
 
 let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
     ?(stall_tenant = 1) ?(stall_rounds = 4) () =
+  (* With one tenant there is no neighbour to stay silent. *)
+  if tenants < 2 then invalid_arg "Slo_bench.run: needs at least 2 tenants";
   if stall_tenant < 0 || stall_tenant >= tenants then
     invalid_arg "Slo_bench.run: stall_tenant out of range";
   let m =
@@ -83,8 +76,6 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
       ~setting:Sim.Config.Erebor_full ()
   in
   let mgr = Option.get (Sim.Machine.manager m) in
-  let kern = Sim.Machine.kern m in
-  let cpu = kern.Kernel.cpu in
   let clock = Sim.Machine.clock m in
   let counters = Sim.Machine.counters m in
   let now () = Hw.Cycles.now clock in
@@ -99,31 +90,10 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
   Obs.Emitter.set_audit tel (Some chain);
 
   let health = Obs.Health.create ~emit:tel ~rules:watchdog_rules () in
-  let confined_pages = 16 and common_pages = 64 in
   let tenant_setup =
     Array.init tenants (fun i ->
-        let name = Printf.sprintf "tenant-%d" (i + 1) in
-        let sb =
-          Result.get_ok
-            (Erebor.Sandbox.create_sandbox mgr ~name
-               ~confined_budget:(confined_pages * page_size))
-        in
-        let base =
-          Result.get_ok
-            (Erebor.Sandbox.declare_confined mgr sb
-               ~len:(confined_pages * page_size))
-        in
-        let common_base =
-          Result.get_ok
-            (Erebor.Sandbox.attach_common mgr sb ~name:"slo-corpus"
-               ~size:(common_pages * page_size))
-        in
-        (match
-           Erebor.Sandbox.load_client_data mgr sb
-             (Bytes.make 256 (Char.chr (Char.code 'a' + (i mod 26))))
-         with
-        | Ok _ -> ()
-        | Error e -> failwith e);
+        let t = Density.provision mgr ~common:"slo-corpus" i in
+        let name = Erebor.Sandbox.name t.Density.sb in
         let window =
           Obs.Window.create
             ~hist_kinds:[ Obs.Trace.Req_end ]
@@ -143,7 +113,7 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
             ()
         in
         let subject = Obs.Health.register health ~name ~now:(now ()) in
-        (sb, base, common_base, window, slo, subject))
+        (t, window, slo, subject))
   in
 
   (* The steady evaluation tick: every tenant's SLO plus the shared
@@ -153,24 +123,18 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
   let tick () =
     incr evals;
     let t = now () in
-    Array.iter (fun (_, _, _, _, slo, _) -> Obs.Slo.evaluate slo ~now:t) tenant_setup;
+    Array.iter (fun (_, _, slo, _) -> Obs.Slo.evaluate slo ~now:t) tenant_setup;
     Obs.Health.check health ~now:t
   in
 
-  let user_touch addr =
-    cpu.Hw.Cpu.mode <- Hw.Cpu.User;
-    ignore (Hw.Cpu.read_u8 cpu addr);
-    cpu.Hw.Cpu.mode <- Hw.Cpu.Supervisor
-  in
   let served = Array.make tenants 0 in
   let stall_from = rounds / 2 in
   let stall_until = min rounds (stall_from + stall_rounds) in
 
   for round = 0 to rounds - 1 do
     Array.iteri
-      (fun i (sb, base, common_base, window, _, subject) ->
-        if Erebor.Sandbox.kill_reason sb = None then begin
-          let task = Erebor.Sandbox.main_task sb in
+      (fun i (t, window, _, subject) ->
+        if Erebor.Sandbox.kill_reason t.Density.sb = None then begin
           let t0 = now () in
           let emc0 = Obs.Counter.count counters Obs.Trace.Emc_entry in
           let deny0 = Obs.Counter.count counters Obs.Trace.Mmu_deny in
@@ -184,39 +148,7 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
               Hw.Cycles.advance clock stall_slice_cycles;
               tick ()
             done;
-          kern.Kernel.privops.Kernel.Privops.write_cr3
-            ~root_pfn:task.Kernel.Task.root_pfn;
-          for p = 0 to 3 do
-            user_touch (base + (((round + p) mod confined_pages) * page_size))
-          done;
-          let caddr =
-            common_base + (((round + i) mod common_pages) * page_size)
-          in
-          (match Kernel.resolve_pfn kern task ~addr:caddr with
-          | Some _ -> ()
-          | None -> (
-              match
-                Erebor.Sandbox.page_fault mgr sb ~addr:caddr ~kind:Hw.Fault.Read
-              with
-              | Ok () -> ()
-              | Error e -> failwith e));
-          user_touch caddr;
-          (match
-             Erebor.Sandbox.handle_syscall mgr sb
-               (Kernel.Syscall.Ioctl
-                  { fd = Erebor.Sandbox.channel_fd sb; request = 1; arg = Bytes.empty })
-           with
-          | Kernel.Syscall.Rbytes _ -> ()
-          | _ -> failwith "slo bench: input fetch failed");
-          (match
-             Erebor.Sandbox.handle_syscall mgr sb
-               (Kernel.Syscall.Ioctl
-                  { fd = Erebor.Sandbox.channel_fd sb; request = 2;
-                    arg = Bytes.make 32 'r' })
-           with
-          | Kernel.Syscall.Rok -> ()
-          | _ -> failwith "slo bench: output emit failed");
-          Erebor.Sandbox.timer_tick mgr sb;
+          Density.serve m t ~round ~index:i;
           let t1 = now () in
           (* Per-tenant attribution: the machine counter deltas over this
              request belong to this tenant — the driver serves one request
@@ -235,16 +167,15 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
   done;
 
   Obs.Emitter.finalize tel ~now:(now ());
-  let audit_text = Obs.Audit.to_string chain in
   let audit_intact =
-    match Obs.Audit.verify_string ~key:audit_key audit_text with
+    match Obs.Audit.verify_string ~key:audit_key (Obs.Audit.to_string chain) with
     | Ok _ -> true
     | Error _ -> false
   in
 
   let outcomes =
     List.mapi
-      (fun i (_, _, _, _, slo, subject) ->
+      (fun i (_, _, slo, subject) ->
         let name = Obs.Health.name subject in
         let transitions = Obs.Health.transitions_of health subject in
         {
@@ -255,78 +186,22 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
           final_state = Obs.Health.state subject;
           worst_state =
             List.fold_left
-              (fun acc (_, st) -> worst acc st)
+              (fun acc (_, st) ->
+                if Obs.Health.state_index st > Obs.Health.state_index acc
+                then st
+                else acc)
               (Obs.Health.state subject) transitions;
           health_transitions = transitions;
         })
       (Array.to_list tenant_setup)
   in
-
-  (* The whole run's verdict: the seeded tenant must alarm on every rail —
-     burn-rate alert, Degraded and Unhealthy demotions — and nobody else
-     may alarm on any. *)
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  List.iter
-    (fun o ->
-      if o.stalled then begin
-        if not o.alert_fired then
-          fail "%s: seeded stall did not fire its burn-rate alert" o.tname;
-        if o.worst_state <> Obs.Health.Unhealthy then
-          fail "%s: seeded stall never reached Unhealthy (worst %s)" o.tname
-            (Obs.Health.state_name o.worst_state);
-        if
-          not
-            (List.exists
-               (fun (_, st) -> st = Obs.Health.Degraded)
-               o.health_transitions)
-        then fail "%s: demotion skipped the Degraded step" o.tname
-      end
-      else begin
-        if o.alert_fired then
-          fail "%s: healthy tenant fired a burn-rate alert" o.tname;
-        if o.worst_state <> Obs.Health.Healthy then
-          fail "%s: healthy tenant left Healthy (worst %s)" o.tname
-            (Obs.Health.state_name o.worst_state)
-      end)
-    outcomes;
-  let alert_events = Obs.Counter.count tel_counter Obs.Trace.Slo_alert in
-  let health_events =
-    Obs.Counter.count tel_counter Obs.Trace.Health_transition
-  in
-  if alert_events = 0 then fail "no Slo_alert events reached the telemetry bus";
-  if health_events = 0 then
-    fail "no Health_transition events reached the telemetry bus";
-  if not audit_intact then fail "telemetry audit chain failed verification";
-
-  let snapshot =
-    let buf = Buffer.create 4096 in
-    Printf.bprintf buf
-      "{\"schema\":\"erebor-slo-bench/1\",\"ts\":%d,\"rounds\":%d,\"evals\":%d,\"tenants\":["
-      (now ()) rounds !evals;
-    Array.iteri
-      (fun i (_, _, _, window, slo, subject) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf
-          "{\"name\":\"%s\",\"stalled\":%b,\"served\":%d,\"window\":%s,\"slo\":%s}"
-          (Obs.Metrics.escape_json (Obs.Health.name subject))
-          (i = stall_tenant) served.(i)
-          (Obs.Window.to_json window ~now:(now ()) ())
-          (Obs.Slo.to_json slo))
-      tenant_setup;
-    Printf.bprintf buf "],\"health\":%s,\"audit_records\":%d}\n"
-      (Obs.Health.to_json health) (Obs.Audit.length chain);
-    Buffer.contents buf
-  in
   {
     outcomes;
     evals = !evals;
-    alert_events;
-    health_events;
+    alert_events = Obs.Counter.count tel_counter Obs.Trace.Slo_alert;
+    health_events = Obs.Counter.count tel_counter Obs.Trace.Health_transition;
     audit_records = Obs.Audit.length chain;
     audit_intact;
-    failures = List.rev !failures;
-    snapshot;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -392,3 +267,69 @@ let clean_fig9 ?jobs ?(smoke = false) () =
       in
       (program, List.sort_uniq compare fired))
     programs
+
+(* ------------------------------------------------------------------ *)
+(* The verdict                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The seeded tenant must alarm on every rail — burn-rate alert, Degraded
+   and Unhealthy demotions — and nobody else may alarm on any; both kinds
+   of transition must reach the audited telemetry bus; and every clean
+   run must stay silent. *)
+let checks report ~clean =
+  let state = Obs.Health.state_name in
+  let fired b = if b then "fired" else "silent" in
+  let tenant o =
+    let name check = Printf.sprintf "slo/%s/%s" o.tname check in
+    let role = if o.stalled then "seeded-stall tenant" else "healthy tenant" in
+    let want = if o.stalled then Obs.Health.Unhealthy else Obs.Health.Healthy in
+    let alert =
+      chk ~old_value:(fired o.stalled) ~new_value:(fired o.alert_fired)
+        (name "alert")
+        (o.alert_fired = o.stalled)
+        (Printf.sprintf "%s: burn-rate alert %s" role (fired o.alert_fired))
+    in
+    let worst_state =
+      chk ~old_value:(state want) ~new_value:(state o.worst_state)
+        (name "worst-state")
+        (o.worst_state = want)
+        (Printf.sprintf "%s: worst state %s" role (state o.worst_state))
+    in
+    let degraded_step =
+      let seen =
+        List.exists (fun (_, st) -> st = Obs.Health.Degraded)
+          o.health_transitions
+      in
+      chk ~old_value:"present"
+        ~new_value:(if seen then "present" else "absent")
+        (name "degraded-step") seen
+        (if seen then "demotion passed through Degraded"
+         else "demotion skipped the Degraded step")
+    in
+    if o.stalled then [ alert; worst_state; degraded_step ]
+    else [ alert; worst_state ]
+  in
+  let on_bus name kind n =
+    chk ~old_value:">= 1" ~new_value:(string_of_int n) ("slo/bus/" ^ name)
+      (n > 0)
+      (Printf.sprintf "%d %s events on the telemetry bus" n kind)
+  in
+  List.concat_map tenant report.outcomes
+  @ [
+      on_bus "alerts" "Slo_alert" report.alert_events;
+      on_bus "health" "Health_transition" report.health_events;
+      chk ~old_value:"intact"
+        ~new_value:(if report.audit_intact then "intact" else "broken")
+        "slo/audit-chain" report.audit_intact
+        (Printf.sprintf "%d audit records, chain %s" report.audit_records
+           (if report.audit_intact then "verified" else "failed verification"));
+    ]
+  @ List.map
+      (fun (program, objectives) ->
+        let f = String.concat "," objectives in
+        chk ~old_value:"silent"
+          ~new_value:(if objectives = [] then "silent" else f)
+          ("slo/clean/" ^ program) (objectives = [])
+          (if objectives = [] then "clean run raised no alert"
+           else "clean run fired " ^ f))
+      clean

@@ -28,8 +28,6 @@ type report = {
   health_events : int;  (** [Health_transition] events on the bus. *)
   audit_records : int;
   audit_intact : bool;  (** The telemetry audit chain verified offline. *)
-  failures : string list;  (** Empty iff the attribution verdict holds. *)
-  snapshot : string;  (** JSON telemetry snapshot of the whole run. *)
 }
 
 val run :
@@ -41,8 +39,10 @@ val run :
   unit ->
   report
 (** Defaults: 4 tenants, 40 rounds, tenant index 1 stalled for 4 rounds
-    starting at the halfway point. Raises [Invalid_argument] when
-    [stall_tenant] is out of range. *)
+    starting at the halfway point. Tenants are provisioned and served by
+    {!Density.provision} / {!Density.serve}. Raises [Invalid_argument]
+    when [tenants < 2] (no neighbour could show the alert stays confined)
+    or [stall_tenant] is out of range. *)
 
 val clean_fig9 :
   ?jobs:int -> ?smoke:bool -> unit -> (string * string list) list
@@ -50,3 +50,11 @@ val clean_fig9 :
     attached (the [run --dash] objectives) and return each program's fired
     objective names — which must all be empty: a healthy calibrated run
     never alarms. [smoke] cuts to the drugbank program. *)
+
+val checks : report -> clean:(string * string list) list -> Bench_gate.verdict
+(** The gate's named checks over a {!run} report and a {!clean_fig9}
+    result: [slo/<tenant>/alert] and [slo/<tenant>/worst-state] for every
+    tenant (the stalled one must fire and reach Unhealthy, the others must
+    stay silent and Healthy), [slo/<tenant>/degraded-step] for the stalled
+    one, [slo/bus/alerts], [slo/bus/health], [slo/audit-chain], and one
+    [slo/clean/<program>] per clean run. *)

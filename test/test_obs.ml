@@ -308,12 +308,12 @@ let count_sub ~sub s =
 
 let test_chrome_escape () =
   Alcotest.(check string) "plain untouched" "syscall"
-    (Obs.Chrome.escape_json "syscall");
+    (Obs.Wire.escape_json "syscall");
   Alcotest.(check string) "quote and backslash" "a\\\"b\\\\c"
-    (Obs.Chrome.escape_json "a\"b\\c");
-  Alcotest.(check string) "newline" "x\\ny" (Obs.Chrome.escape_json "x\ny");
+    (Obs.Wire.escape_json "a\"b\\c");
+  Alcotest.(check string) "newline" "x\\ny" (Obs.Wire.escape_json "x\ny");
   Alcotest.(check string) "control char" "\\u0001"
-    (Obs.Chrome.escape_json "\001")
+    (Obs.Wire.escape_json "\001")
 
 let test_chrome_unbalanced () =
   let obs = Obs.Emitter.create () in
@@ -2345,10 +2345,18 @@ let prop_escape_json_roundtrip =
       string_gen
         (Gen.oneofl [ 'a'; '"'; '\\'; '\n'; '\r'; '\t'; '\001'; 'q' ]))
     (fun s ->
-      let quoted = "\"" ^ Obs.Metrics.escape_json s ^ "\"" in
+      let quoted = "\"" ^ Obs.Wire.escape_json s ^ "\"" in
       match Workloads.Bench_gate.Json.parse quoted with
       | Ok (Workloads.Bench_gate.Json.Str v) -> v = s
       | _ -> false)
+
+(* The audit verifier reads records back with its own unescape: it must
+   invert the shared escaper on every byte string, control and high bytes
+   included. *)
+let prop_audit_unescape_roundtrip =
+  QCheck.Test.make ~name:"audit unescape inverts escape_json" ~count:500
+    QCheck.string
+    (fun s -> Obs.Audit.unescape (Obs.Wire.escape_json s) = s)
 
 let test_metrics_openmetrics_sketch () =
   let sk = sketch_of (List.init 500 (fun i -> i + 1)) in
@@ -2573,5 +2581,6 @@ let () =
             test_metrics_openmetrics_sketch;
           QCheck_alcotest.to_alcotest prop_escape_label_roundtrip;
           QCheck_alcotest.to_alcotest prop_escape_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_audit_unescape_roundtrip;
         ] );
     ]

@@ -363,6 +363,123 @@ let test_bench_gate_seeded_failure () =
       Alcotest.(check bool) "empty anchor tables fail coverage" false
         (Workloads.Bench_gate.pass missing_row)
 
+(* ------------------------------------------------------------------ *)
+(* Experiment gates: density, slo, attrib                              *)
+(* ------------------------------------------------------------------ *)
+
+module G = Workloads.Bench_gate
+
+let check_named verdict name =
+  match List.find_opt (fun (c : G.check) -> c.G.name = name) verdict with
+  | Some c -> c
+  | None -> Alcotest.failf "no check named %s" name
+
+let test_density_smoke_rows () =
+  (* The smoke scaling rows pinned exactly: the tenant code shared with
+     the slo gate must reproduce them frame for frame and cycle for
+     cycle. *)
+  let rows = Workloads.Density.scaling ~jobs:1 ~smoke:true () in
+  let row backend n (conf, ptp, com) p99 violations =
+    Printf.sprintf "%s/%d frames %d/%d/%d p99 %d violations %d" backend n
+      conf ptp com p99 violations
+  in
+  let expect backend p99 =
+    List.map
+      (fun (n, frames) -> row backend n frames p99 0)
+      [ (1, (16, 13, 8)); (2, (32, 17, 9)); (4, (64, 25, 11)) ]
+  in
+  Alcotest.(check (list string)) "smoke rows"
+    (expect "pks" 10181 @ expect "tmemk" 10293)
+    (List.map
+       (fun (r : Workloads.Density.scale_row) ->
+         row
+           (Erebor.Isolation.kind_name r.sbackend)
+           r.tenants
+           (r.confined_frames, r.ptp_frames, r.common_frames)
+           r.worst_p99 r.violations)
+       rows);
+  let verdict = Workloads.Density.checks rows in
+  Alcotest.(check (list string)) "one check per row"
+    [
+      "density/pks/1/violations"; "density/pks/2/violations";
+      "density/pks/4/violations"; "density/tmemk/1/violations";
+      "density/tmemk/2/violations"; "density/tmemk/4/violations";
+    ]
+    (List.map (fun (c : G.check) -> c.G.name) verdict);
+  Alcotest.(check bool) "smoke density passes" true (G.pass verdict);
+  (* One undenied probe attempt fails exactly its row's check. *)
+  let breached = { (List.hd rows) with violations = 1 } in
+  match G.failures (Workloads.Density.checks (breached :: List.tl rows)) with
+  | [ f ] ->
+      Alcotest.(check string) "failing check" "density/pks/1/violations"
+        f.G.name;
+      Alcotest.(check (option string)) "new side" (Some "1") f.G.new_value
+  | fs -> Alcotest.failf "expected 1 failure, got %d" (List.length fs)
+
+let test_slo_checks () =
+  let r = Workloads.Slo_bench.run ~rounds:16 ~stall_rounds:3 () in
+  let verdict =
+    Workloads.Slo_bench.checks r ~clean:[ ("drugbank", []) ]
+  in
+  List.iter
+    (fun (c : G.check) ->
+      Alcotest.(check bool) (c.G.name ^ ": " ^ c.G.detail) true c.G.ok)
+    verdict;
+  (* 4 tenants x (alert, worst-state) + the stalled one's degraded-step,
+     the two bus checks, the audit chain and one clean run. *)
+  Alcotest.(check int) "check count" 13 (List.length verdict);
+  (* No stall: the seeded tenant's alert never fires, and the gate says
+     so by name. *)
+  let quiet = Workloads.Slo_bench.run ~rounds:16 ~stall_rounds:0 () in
+  let verdict = Workloads.Slo_bench.checks quiet ~clean:[] in
+  let alert = check_named verdict "slo/tenant-2/alert" in
+  Alcotest.(check bool) "unstalled run fails the seeded alert" false
+    alert.G.ok;
+  Alcotest.(check (option string)) "old/new"
+    (Some "fired") alert.G.old_value;
+  Alcotest.(check (option string)) "new" (Some "silent") alert.G.new_value;
+  (* A clean run that fired fails its own check. *)
+  let noisy =
+    Workloads.Slo_bench.checks r ~clean:[ ("yolo", [ "emc-rate" ]) ]
+  in
+  Alcotest.(check bool) "fired clean run fails" false
+    (check_named noisy "slo/clean/yolo").G.ok
+
+let test_slo_needs_two_tenants () =
+  Alcotest.check_raises "one tenant"
+    (Invalid_argument "Slo_bench.run: needs at least 2 tenants") (fun () ->
+      ignore (Workloads.Slo_bench.run ~tenants:1 ()))
+
+let test_attrib_checks () =
+  let row total =
+    {
+      Workloads.Eval.aprogram = "drugbank";
+      asetting = Sim.Config.Erebor_full;
+      total_cycles = total;
+      unattributed_cycles = 2;
+      contexts = [ ("user", "run", 5); ("monitor", "gate", 3) ];
+    }
+  in
+  let ok = G.attrib_checks [ row 10 ] in
+  Alcotest.(check (list string)) "name"
+    [ "attrib/drugbank:erebor/conservation" ]
+    (List.map (fun (c : G.check) -> c.G.name) ok);
+  Alcotest.(check bool) "conserving row passes" true (G.pass ok);
+  let off = G.attrib_checks [ row 11 ] in
+  Alcotest.(check bool) "total off by one fails" false (G.pass off);
+  Alcotest.(check (option string)) "old is the total" (Some "11")
+    (List.hd off).G.old_value;
+  Alcotest.(check (option string)) "new is the sum" (Some "10")
+    (List.hd off).G.new_value
+
+let test_nearest_rank () =
+  let a = Array.init 100 (fun i -> i + 1) in
+  Alcotest.(check int) "p50" 50 (G.nearest_rank a ~p:0.50);
+  Alcotest.(check int) "p99" 99 (G.nearest_rank a ~p:0.99);
+  Alcotest.(check int) "p100" 100 (G.nearest_rank a ~p:1.0);
+  Alcotest.(check int) "p0 clamps to the minimum" 1 (G.nearest_rank a ~p:0.0);
+  Alcotest.(check int) "empty" 0 (G.nearest_rank [||] ~p:0.99)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -420,5 +537,17 @@ let () =
           Alcotest.test_case "current anchors pass" `Quick test_bench_gate_pass;
           Alcotest.test_case "seeded mismatch fails" `Quick
             test_bench_gate_seeded_failure;
+        ] );
+      ( "gates",
+        [
+          Alcotest.test_case "density smoke rows pinned" `Quick
+            test_density_smoke_rows;
+          Alcotest.test_case "slo checks pass, and fail unstalled" `Quick
+            test_slo_checks;
+          Alcotest.test_case "slo needs two tenants" `Quick
+            test_slo_needs_two_tenants;
+          Alcotest.test_case "attrib conservation check" `Quick
+            test_attrib_checks;
+          Alcotest.test_case "nearest-rank oracle" `Quick test_nearest_rank;
         ] );
     ]
