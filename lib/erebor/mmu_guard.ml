@@ -10,12 +10,16 @@ type t = {
   mem : Hw.Phys_mem.t;
   cpu : Hw.Cpu.t;
   backend : Isolation.t;
-  (* Per-frame state as flat arrays indexed by pfn: [class_of] sits on the
-     write_pte hot path (several probes per EMC), where a hashed lookup per
-     probe is measurable across the millions of MMU EMCs in an evaluation
-     run. Out-of-range pfns (a hostile PTE pointing past RAM) read as
-     [Free], exactly like a never-classified frame. *)
-  classes : frame_class array;
+  (* Per-frame state indexed by pfn: [class_of] sits on the write_pte hot
+     path (several probes per EMC), where a hashed lookup per probe is
+     measurable across the millions of MMU EMCs in an evaluation run. The
+     class table is a directory of [chunk]-frame arrays, each allocated at
+     its first non-[Free] store, so a machine pays for the frames it
+     classifies rather than one word per frame of RAM up front. An absent
+     chunk and an out-of-range pfn (a hostile PTE pointing past RAM) both
+     read as [Free], exactly like a never-classified frame. *)
+  frames : int;
+  classes : frame_class array array;
   confined_mapped : Bytes.t;               (* confined pfns with a live mapping *)
   sandbox_roots : (int, int) Hashtbl.t;    (* root pfn -> sandbox id *)
   common_mappings : (string, int list ref) Hashtbl.t; (* instance -> pte addrs *)
@@ -24,13 +28,19 @@ type t = {
   mutable denied : int;
 }
 
+let chunk_bits = 9
+let chunk = 1 lsl chunk_bits
+let no_chunk : frame_class array = [||]
+
 let create ~mem ~cpu ~backend =
+  let frames = Hw.Phys_mem.frames mem in
   {
     mem;
     cpu;
     backend;
-    classes = Array.make (Hw.Phys_mem.frames mem) Free;
-    confined_mapped = Bytes.make (Hw.Phys_mem.frames mem) '\000';
+    frames;
+    classes = Array.make ((frames + chunk - 1) lsr chunk_bits) no_chunk;
+    confined_mapped = Bytes.make frames '\000';
     sandbox_roots = Hashtbl.create 8;
     common_mappings = Hashtbl.create 8;
     sealed = Hashtbl.create 8;
@@ -38,9 +48,27 @@ let create ~mem ~cpu ~backend =
     denied = 0;
   }
 
-let in_range t pfn = pfn >= 0 && pfn < Array.length t.classes
-let class_of t pfn = if in_range t pfn then Array.unsafe_get t.classes pfn else Free
-let set_class t pfn cls = if in_range t pfn then Array.unsafe_set t.classes pfn cls
+let in_range t pfn = pfn >= 0 && pfn < t.frames
+
+let class_of t pfn =
+  if not (in_range t pfn) then Free
+  else
+    let c = Array.unsafe_get t.classes (pfn lsr chunk_bits) in
+    if c == no_chunk then Free else Array.unsafe_get c (pfn land (chunk - 1))
+
+let set_class t pfn cls =
+  if in_range t pfn then begin
+    let i = pfn lsr chunk_bits in
+    let c = Array.unsafe_get t.classes i in
+    if c != no_chunk then Array.unsafe_set c (pfn land (chunk - 1)) cls
+    else
+      match cls with
+      | Free -> ()
+      | Ptp _ | Monitor | Kernel_text | Confined _ | Common _ ->
+          let c = Array.make chunk Free in
+          Array.unsafe_set c (pfn land (chunk - 1)) cls;
+          Array.unsafe_set t.classes i c
+  end
 let clear_class t pfn = set_class t pfn Free
 let mark_confined_mapped t pfn v =
   if in_range t pfn then Bytes.unsafe_set t.confined_mapped pfn (if v then '\001' else '\000')
@@ -92,7 +120,9 @@ let declassify t ~pfn =
 let denied_count t = t.denied
 
 let ptp_count t =
-  Array.fold_left (fun acc c -> match c with Ptp _ -> acc + 1 | _ -> acc) 0 t.classes
+  Array.fold_left
+    (Array.fold_left (fun acc c -> match c with Ptp _ -> acc + 1 | _ -> acc))
+    0 t.classes
 
 (* Every policy denial, whatever the path, funnels through here: one stat
    bump and one [Mmu_deny] event, so security tests can assert exact denial
@@ -112,10 +142,10 @@ let record_common_mapping t instance pte_addr =
 
 (* Forget bookkeeping tied to the entry currently stored at [pte_addr]. *)
 let release_old_leaf t pte_addr =
-  let old = Hw.Phys_mem.read_u64 t.mem pte_addr in
-  if Hw.Pte.present old then
-    match class_of t (Hw.Pte.pfn old) with
-    | Confined _ -> mark_confined_mapped t (Hw.Pte.pfn old) false
+  let old = Hw.Page_table.present_frame t.mem pte_addr in
+  if old >= 0 then
+    match class_of t old with
+    | Confined _ -> mark_confined_mapped t old false
     | Free | Ptp _ | Monitor | Kernel_text | Common _ -> ()
 
 let do_store t pte_addr pte =
@@ -176,7 +206,6 @@ let write_pte t ~trusted ~pte_addr pte =
   let container = Hw.Phys_mem.pfn_of_addr pte_addr in
   match class_of t container with
   | Ptp { level; root } ->
-      let deny msg = deny_incr t msg in
       if level = 2 && Hw.Pte.present pte && Hw.Pte.huge pte then begin
         (* A 2 MiB leaf install. Sandboxes must declare memory at 4 KiB
            granularity, and classified frames never hide inside a huge
@@ -202,7 +231,7 @@ let write_pte t ~trusted ~pte_addr pte =
         (* Intermediate entry: the child becomes (or stops being) a PTP. *)
         let old = Hw.Phys_mem.read_u64 t.mem pte_addr in
         if Hw.Pte.present old && Hw.Pte.present pte && Hw.Pte.pfn old <> Hw.Pte.pfn pte
-        then deny "re-pointing a live interior entry is forbidden"
+        then deny_incr t "re-pointing a live interior entry is forbidden"
         else if Hw.Pte.present pte then begin
           let child = Hw.Pte.pfn pte in
           match class_of t child with
@@ -214,10 +243,10 @@ let write_pte t ~trusted ~pte_addr pte =
               (* Sharing an existing subtree (kernel half of a new task). *)
               do_store t pte_addr pte;
               Ok ()
-          | Ptp _ -> deny "child frame already a PTP at another level"
-          | Monitor -> deny "monitor frame cannot become a page-table page"
+          | Ptp _ -> deny_incr t "child frame already a PTP at another level"
+          | Monitor -> deny_incr t "monitor frame cannot become a page-table page"
           | Kernel_text | Confined _ | Common _ ->
-              deny "classified frame cannot become a page-table page"
+              deny_incr t "classified frame cannot become a page-table page"
         end
         else begin
           (* Clearing an interior slot: deregister the child (shallow). *)
@@ -252,7 +281,7 @@ let write_pte t ~trusted ~pte_addr pte =
               | _ -> ());
               do_store t pte_addr pte';
               Ok ()
-          | Error e -> deny e
+          | Error e -> deny_incr t e
       end
   | Free | Monitor | Kernel_text | Confined _ | Common _ ->
       deny_incr t "PTE store outside a registered page-table page"

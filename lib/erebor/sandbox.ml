@@ -2,6 +2,15 @@ type phase = Initializing | Data_loaded | Terminated
 
 type confined_region = { start : int; len : int; base_pfn : int }
 
+(* A named common instance: [frames.(i)] is the frame of page [i], or -1
+   until the first fault on that page in any attached sandbox. *)
+type common_instance = {
+  cname : string;
+  size : int;
+  frames : int array;
+  mutable populated : int; (* frames drawn so far *)
+}
+
 type t = {
   id : int;
   sb_name : string;
@@ -11,7 +20,7 @@ type t = {
   mutable threads : Kernel.Task.t list;
   confined_budget : int;
   mutable confined : confined_region list;
-  mutable commons : (int * string) list; (* region start -> instance name *)
+  mutable commons : (int * common_instance) list; (* region start -> instance *)
   channel_fd : int;
   mutable input_addr : int;
   mutable input_len : int;
@@ -20,12 +29,6 @@ type t = {
   mutable pf_count : int;
   mutable timer_count : int;
   mutable ve_count : int;
-}
-
-type common_instance = {
-  cname : string;
-  size : int;
-  frames : (int, int) Hashtbl.t; (* page index -> pfn *)
 }
 
 type manager = {
@@ -71,48 +74,52 @@ let interpose_charge mgr cycles =
 let page_size = Hw.Phys_mem.page_size
 
 (* Fault-frame provider: serve confined pages from the pinned contiguous
-   range, common pages from the shared instance. *)
+   range, common pages from the shared instance; -1 leaves the fault to the
+   kernel's allocator. Plain recursion, an array probe and no string key:
+   this runs once per demand fault. *)
+let rec confined_frame addr = function
+  | [] -> -1
+  | r :: rest ->
+      if addr >= r.start && addr < r.start + r.len then
+        r.base_pfn + ((addr - r.start) / page_size)
+      else confined_frame addr rest
+
+let instance_frame mgr inst index =
+  let pfn = inst.frames.(index) in
+  if pfn >= 0 then pfn
+  else
+    match Kernel.Alloc.alloc mgr.kern.Kernel.frame_alloc with
+    | None -> -1
+    | Some pfn ->
+        (match
+           Mmu_guard.classify (guard mgr) ~pfn (Mmu_guard.Common { instance = inst.cname })
+         with
+        | Ok () -> ()
+        | Error e -> failwith ("frame_source: " ^ e));
+        inst.frames.(index) <- pfn;
+        inst.populated <- inst.populated + 1;
+        pfn
+
+let rec common_frame mgr commons ~start ~index =
+  match commons with
+  | [] -> -1
+  | (s, inst) :: rest ->
+      if s = start then instance_frame mgr inst index
+      else common_frame mgr rest ~start ~index
+
 let frame_source mgr task region ~addr =
-  match Kernel.Task.sandbox_id task with
-  | None -> None
-  | Some sid -> (
+  match task.Kernel.Task.kind with
+  | Kernel.Task.Normal -> -1
+  | Kernel.Task.Sandboxed sid -> (
       match Hashtbl.find_opt mgr.sandboxes sid with
-      | None -> None
+      | None -> -1
       | Some sb -> (
           match region.Kernel.Vma.kind with
-          | Kernel.Vma.Confined ->
-              List.find_map
-                (fun r ->
-                  if addr >= r.start && addr < r.start + r.len then
-                    Some (r.base_pfn + ((addr - r.start) / page_size))
-                  else None)
-                sb.confined
-          | Kernel.Vma.Common -> (
-              let index = (addr - region.Kernel.Vma.start) / page_size in
-              match
-                List.find_map
-                  (fun (start, cname) ->
-                    if start = region.Kernel.Vma.start then Hashtbl.find_opt mgr.commons cname
-                    else None)
-                  sb.commons
-              with
-              | None -> None
-              | Some inst -> (
-                  match Hashtbl.find_opt inst.frames index with
-                  | Some pfn -> Some pfn
-                  | None -> (
-                      match Kernel.Alloc.alloc mgr.kern.Kernel.frame_alloc with
-                      | None -> None
-                      | Some pfn ->
-                          (match
-                             Mmu_guard.classify (guard mgr) ~pfn
-                               (Mmu_guard.Common { instance = inst.cname })
-                           with
-                          | Ok () -> ()
-                          | Error e -> failwith ("frame_source: " ^ e));
-                          Hashtbl.replace inst.frames index pfn;
-                          Some pfn)))
-          | Kernel.Vma.Anon | Kernel.Vma.Stack | Kernel.Vma.File _ -> None))
+          | Kernel.Vma.Confined -> confined_frame addr sb.confined
+          | Kernel.Vma.Common ->
+              let start = region.Kernel.Vma.start in
+              common_frame mgr sb.commons ~start ~index:((addr - start) / page_size)
+          | Kernel.Vma.Anon | Kernel.Vma.Stack | Kernel.Vma.File _ -> -1))
 
 let usercopy_veto mgr () =
   let root = Hw.Cr.root_pfn mgr.kern.Kernel.cpu.Hw.Cpu.cr in
@@ -233,29 +240,36 @@ let attach_common mgr sb ~name ~size =
     Error "tenant policy forbids common memory"
   end
   else begin
-    let inst =
-      match Hashtbl.find_opt mgr.commons name with
-      | Some inst ->
-          if inst.size <> size then invalid_arg "attach_common: size mismatch" else inst
-      | None ->
-          let inst = { cname = name; size; frames = Hashtbl.create 1024 } in
-          Hashtbl.replace mgr.commons name inst;
-          inst
-    in
-    ignore inst;
-    match
-      Kernel.mmap mgr.kern sb.main_task ~len:(Kernel.Layout.page_align_up size)
-        ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Common
-    with
-    | Error e -> Error e
-    | Ok start ->
-        sb.commons <- sb.commons @ [ (start, name) ];
-        Ok start
+    match Hashtbl.find_opt mgr.commons name with
+    | Some inst when inst.size <> size ->
+        Error
+          (Printf.sprintf "common instance %s exists with size %d, not %d" name
+             inst.size size)
+    | existing -> (
+        let inst =
+          match existing with
+          | Some inst -> inst
+          | None ->
+              let pages = max 0 (Kernel.Layout.page_align_up size / page_size) in
+              let inst =
+                { cname = name; size; frames = Array.make pages (-1); populated = 0 }
+              in
+              Hashtbl.replace mgr.commons name inst;
+              inst
+        in
+        match
+          Kernel.mmap mgr.kern sb.main_task ~len:(Kernel.Layout.page_align_up size)
+            ~prot:Kernel.Vma.prot_rw ~kind:Kernel.Vma.Common
+        with
+        | Error e -> Error e
+        | Ok start ->
+            sb.commons <- sb.commons @ [ (start, inst) ];
+            Ok start)
   end
 
 let common_instance_frames mgr ~name =
   match Hashtbl.find_opt mgr.commons name with
-  | Some inst -> Hashtbl.length inst.frames
+  | Some inst -> inst.populated
   | None -> 0
 
 let read_sandbox_bytes mgr sb ~addr ~len =
@@ -325,7 +339,7 @@ let load_client_data mgr sb data =
           (* Seal every attached common instance (revoke write). *)
           List.iter
             (fun cname -> ignore (Mmu_guard.seal_common (guard mgr) ~instance:cname))
-            (List.sort_uniq compare (List.map snd sb.commons));
+            (List.sort_uniq compare (List.map (fun (_, inst) -> inst.cname) sb.commons));
           Monitor.prepare_sandbox_entry mgr.monitor;
           sb.phase <- Data_loaded;
           emit mgr Obs.Trace.Sandbox_seal ~arg:sb.id;

@@ -159,27 +159,28 @@ let tme_check t tme ~kind vaddr ~pfn ~pte =
           Printf.sprintf "inactive key pfn=%d frame_tag=%d active=%d" pfn tagd
             active)
 
-(* TLB miss: walk, set accessed/dirty as hardware does, fill. *)
+(* TLB miss: walk, set accessed/dirty as hardware does, fill. The packed
+   lookup keeps the whole fill allocation-free; only the TME-MK key check
+   reads the leaf as a [Pte.t]. *)
 let tlb_fill t ~kind vaddr =
-  match Page_table.walk t.mem ~root_pfn:(Cr.root_pfn t.cr) vaddr with
-  | None -> not_present_fault t ~kind vaddr
-  | Some w ->
-      (match t.tme with
-      | None -> ()
-      | Some tme ->
-          tme_check t tme ~kind vaddr ~pfn:w.Page_table.pfn ~pte:w.Page_table.pte);
-      let updated = Pte.set_accessed w.Page_table.pte true in
-      let updated = if kind = Fault.Write then Pte.set_dirty updated true else updated in
-      if not (Int64.equal updated w.Page_table.pte) then
-        Phys_mem.write_u64 t.mem w.Page_table.pte_addr updated;
-      let packed =
-        Tlb.pack ~pfn:w.Page_table.pfn ~user:w.Page_table.user
-          ~writable:w.Page_table.writable ~nx:w.Page_table.nx
-          ~pkey:(Pte.pkey w.Page_table.pte)
-      in
-      Tlb.insert t.tlb vaddr packed;
-      emit t Obs.Trace.Tlb_fill ~arg:vaddr;
-      packed
+  let r = Page_table.lookup t.mem ~root_pfn:(Cr.root_pfn t.cr) vaddr in
+  if not (Page_table.present r) then not_present_fault t ~kind vaddr
+  else begin
+    let pfn = Page_table.frame t.mem r vaddr in
+    (match t.tme with
+    | None -> ()
+    | Some tme ->
+        tme_check t tme ~kind vaddr ~pfn
+          ~pte:(Phys_mem.read_u64 t.mem (Page_table.slot r)));
+    Page_table.mark_accessed t.mem r ~dirty:(kind = Fault.Write);
+    let packed =
+      Tlb.pack ~pfn ~user:(Page_table.user r) ~writable:(Page_table.writable r)
+        ~nx:(Page_table.nx r) ~pkey:(Page_table.pkey r)
+    in
+    Tlb.insert t.tlb vaddr packed;
+    emit t Obs.Trace.Tlb_fill ~arg:vaddr;
+    packed
+  end
 
 let translate t ~kind vaddr =
   let ctx = access_ctx t in

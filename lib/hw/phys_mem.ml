@@ -60,6 +60,22 @@ let write_u64 t addr v =
     invalid_arg "Phys_mem.write_u64: crosses page boundary";
   Bytes.set_int64_le (backing t (pfn_of_addr addr)) (page_offset addr) v
 
+(* The int32 never leaves this function, so the compiler keeps it unboxed:
+   callers get an immediate even when this module is compiled opaque. *)
+let read_u32 t addr =
+  check_addr t addr;
+  if page_offset addr > page_size - 4 then
+    invalid_arg "Phys_mem.read_u32: crosses page boundary";
+  let b = Array.unsafe_get t.pages (pfn_of_addr addr) in
+  if Bytes.length b = 0 then 0
+  else Int32.to_int (Bytes.get_int32_le b (page_offset addr)) land 0xffff_ffff
+
+let write_u32 t addr v =
+  check_addr t addr;
+  if page_offset addr > page_size - 4 then
+    invalid_arg "Phys_mem.write_u32: crosses page boundary";
+  Bytes.set_int32_le (backing t (pfn_of_addr addr)) (page_offset addr) (Int32.of_int v)
+
 (* Bulk transfers: one blit per touched frame, no intermediate buffers. *)
 
 let blit_to t addr dst ~off ~len =

@@ -34,6 +34,15 @@ val read_u64 : t -> int -> int64
 
 val write_u64 : t -> int -> int64 -> unit
 
+val read_u32 : t -> int -> int
+(** Little-endian unsigned 32-bit read, as an immediate: unlike
+    [read_u64] it never boxes its result, so a caller that decodes a 64-bit
+    entry from its two halves allocates nothing. Must not cross a page
+    boundary. *)
+
+val write_u32 : t -> int -> int -> unit
+(** Store the low 32 bits of the value, little-endian. *)
+
 val blit_to : t -> int -> bytes -> off:int -> len:int -> unit
 (** [blit_to t paddr dst ~off ~len] copies physical memory into [dst] at
     [off]; may cross page boundaries. Unbacked frames read as zeros. One

@@ -37,17 +37,31 @@ let set_bit t i v =
 
 let pfn_mask = Int64.shift_left (Int64.sub (Int64.shift_left 1L pfn_bits) 1L) pfn_shift
 
-let make ~pfn flags =
+(* The entry is assembled as an immediate and converted once, so the only
+   allocation is the returned box. Bits 0..58 fit an OCaml int; the pkey's
+   top bit (62) and NX (63) are added on the [int64]. *)
+let flag b i = if b then 1 lsl i else 0
+
+let build ~pfn ~present ~writable ~user ~nx ~pkey ~accessed ~dirty =
   if pfn < 0 || pfn >= 1 lsl pfn_bits then invalid_arg "Pte.make: pfn out of range";
-  if flags.pkey < 0 || flags.pkey > 15 then invalid_arg "Pte.make: pkey out of range";
-  let t = Int64.shift_left (Int64.of_int pfn) pfn_shift in
-  let t = set_bit t bit_present flags.present in
-  let t = set_bit t bit_writable flags.writable in
-  let t = set_bit t bit_user flags.user in
-  let t = set_bit t bit_accessed flags.accessed in
-  let t = set_bit t bit_dirty flags.dirty in
-  let t = set_bit t bit_nx flags.nx in
-  Int64.logor t (Int64.shift_left (Int64.of_int flags.pkey) pkey_shift)
+  if pkey < 0 || pkey > 15 then invalid_arg "Pte.make: pkey out of range";
+  let low =
+    (pfn lsl pfn_shift)
+    lor flag present bit_present
+    lor flag writable bit_writable
+    lor flag user bit_user
+    lor flag accessed bit_accessed
+    lor flag dirty bit_dirty
+  in
+  let t = Int64.logor (Int64.of_int low) (Int64.shift_left (Int64.of_int pkey) pkey_shift) in
+  if nx then Int64.logor t Int64.min_int else t
+
+let make ~pfn f =
+  build ~pfn ~present:f.present ~writable:f.writable ~user:f.user ~nx:f.nx
+    ~pkey:f.pkey ~accessed:f.accessed ~dirty:f.dirty
+
+let make_leaf ~pfn ~user ~writable ~nx =
+  build ~pfn ~present:true ~writable ~user ~nx ~pkey:0 ~accessed:false ~dirty:false
 
 let pfn t = Int64.to_int (Int64.shift_right_logical (Int64.logand t pfn_mask) pfn_shift)
 let present t = get_bit t bit_present

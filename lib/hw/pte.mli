@@ -1,8 +1,10 @@
 (** Page-table-entry encoding, following the x86-64 layout: P/RW/US low
-    flags, accessed/dirty, a 36-bit frame number at bit 12, protection key at
-    bits 59–62 and NX at bit 63. Huge pages are deliberately unsupported —
-    the paper's prototype disables them to keep PKS permission management at
-    4 KiB granularity (§7). *)
+    flags, accessed/dirty, the PS (huge) bit, a 36-bit frame number at bit
+    12, a memory-encryption key id at bits 48–57, protection key at bits
+    59–62 and NX at bit 63. The paper's prototype disables huge pages to
+    keep PKS permission management at 4 KiB granularity (§7); this
+    encoding carries the PS bit so 2 MiB page-directory leaves can exist
+    ([Page_table.map_huge]) and be split by the monitor. *)
 
 type t = int64
 
@@ -23,6 +25,10 @@ val default_flags : flags
 
 val make : pfn:int -> flags -> t
 (** Raises [Invalid_argument] for out-of-range pfn or key. *)
+
+val make_leaf : pfn:int -> user:bool -> writable:bool -> nx:bool -> t
+(** [make ~pfn { default_flags with user; writable; nx }] without building
+    the flags record: the demand-fault path's leaf. *)
 
 val pfn : t -> int
 val flags : t -> flags

@@ -21,23 +21,21 @@ let take t i =
   Bytes.set t.bitmap i '\001';
   t.used <- t.used + 1
 
-let alloc t =
-  if t.used >= t.frames then None
+(* Next-fit scan from [i], wrapping once; top level so a call builds no
+   closure. *)
+let rec scan t i remaining =
+  if remaining = 0 then None
   else begin
-    let rec scan i remaining =
-      if remaining = 0 then None
-      else begin
-        let i = if i >= t.frames then 0 else i in
-        if taken t i then scan (i + 1) (remaining - 1)
-        else begin
-          take t i;
-          t.cursor <- i + 1;
-          Some (t.first_pfn + i)
-        end
-      end
-    in
-    scan t.cursor t.frames
+    let i = if i >= t.frames then 0 else i in
+    if taken t i then scan t (i + 1) (remaining - 1)
+    else begin
+      take t i;
+      t.cursor <- i + 1;
+      Some (t.first_pfn + i)
+    end
   end
+
+let alloc t = if t.used >= t.frames then None else scan t t.cursor t.frames
 
 let alloc_zeroed t mem =
   match alloc t with

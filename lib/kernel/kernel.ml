@@ -28,11 +28,11 @@ type t = {
   fs : Fs.t;
   sched : Sched.t;
   kernel_root : int;
+  alloc_ptp : unit -> int;
   tasks : (int, Task.t) Hashtbl.t;
   mutable next_tid : int;
   stats : stats;
-  mutable frame_source :
-    (Task.t -> Vma.region -> addr:int -> int option) option;
+  mutable frame_source : (Task.t -> Vma.region -> addr:int -> int) option;
   futex_waiters : Task.t Queue.t;
   mutable mmu_batching : bool;
   mutable io_scratch : bytes;
@@ -58,8 +58,8 @@ let span t phase f =
       emit t (Obs.Trace.span_end phase) ~arg:0;
       raise e
 
-let alloc_ptp t () =
-  match Alloc.alloc_zeroed t.frame_alloc t.mem with
+let ptp_allocator frame_alloc mem () =
+  match Alloc.alloc_zeroed frame_alloc mem with
   | Some pfn -> pfn
   | None -> failwith "Kernel: out of frames for page tables"
 
@@ -67,12 +67,11 @@ let alloc_ptp t () =
    below the shared boot-time PDPT are shared by every address space. *)
 let ensure_direct_map t ~pfn =
   let vaddr = Layout.direct_map (Hw.Phys_mem.addr_of_pfn pfn) in
-  match Hw.Page_table.walk t.mem ~root_pfn:t.kernel_root vaddr with
-  | Some _ -> ()
-  | None ->
-      Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:(alloc_ptp t)
-        ~root_pfn:t.kernel_root ~vaddr
-        (Hw.Pte.make ~pfn { Hw.Pte.default_flags with nx = true })
+  if not (Hw.Page_table.present (Hw.Page_table.lookup t.mem ~root_pfn:t.kernel_root vaddr))
+  then
+    Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:t.alloc_ptp
+      ~root_pfn:t.kernel_root ~vaddr
+      (Hw.Pte.make_leaf ~pfn ~user:false ~writable:true ~nx:true)
 
 (* Eagerly allocate the PML4-slot subtrees shared between all address
    spaces, so later direct-map fills are visible through every root. *)
@@ -81,7 +80,7 @@ let preplant_shared_slot t root vaddr =
   let slot_addr = Hw.Phys_mem.addr_of_pfn root + (8 * slot_index) in
   let existing = Hw.Phys_mem.read_u64 t.mem slot_addr in
   if not (Hw.Pte.present existing) then begin
-    let pdpt = alloc_ptp t () in
+    let pdpt = t.alloc_ptp () in
     t.privops.Privops.write_pte ~pte_addr:slot_addr
       (Hw.Pte.make ~pfn:pdpt { Hw.Pte.default_flags with user = true })
   end
@@ -91,6 +90,7 @@ let boot ~mem ~cpu ~td ~privops ~reserved_frames ~cma_frames =
   if reserved_frames + cma_frames >= frames then
     invalid_arg "Kernel.boot: reservations exceed physical memory";
   let general = frames - reserved_frames - cma_frames in
+  let frame_alloc = Alloc.create ~first_pfn:reserved_frames ~frames:general in
   let t =
     {
       mem;
@@ -98,7 +98,7 @@ let boot ~mem ~cpu ~td ~privops ~reserved_frames ~cma_frames =
       cpu;
       td;
       privops;
-      frame_alloc = Alloc.create ~first_pfn:reserved_frames ~frames:general;
+      frame_alloc;
       cma = Alloc.create ~first_pfn:(reserved_frames + general) ~frames:cma_frames;
       fs = Fs.create ();
       sched =
@@ -107,6 +107,7 @@ let boot ~mem ~cpu ~td ~privops ~reserved_frames ~cma_frames =
             Hw.Cpu.emit cpu Obs.Trace.Context_switch ~arg:next.Task.tid)
           ~quantum_ticks:4 ();
       kernel_root = 0 (* patched below *);
+      alloc_ptp = ptp_allocator frame_alloc mem;
       tasks = Hashtbl.create 16;
       next_tid = 1;
       stats = { page_faults = 0; syscalls = 0; timer_irqs = 0; ve_exits = 0; segfaults = 0 };
@@ -188,8 +189,34 @@ let mmap _t task ~len ~prot ~kind =
 let allocator_for t kind =
   match kind with Vma.Confined -> t.cma | Vma.Anon | Vma.Stack | Vma.File _ | Vma.Common -> t.frame_alloc
 
-let handle_page_fault t task ~addr ~kind =
-  span t Obs.Trace.Pf_handler @@ fun () ->
+(* The frame for a demand fault at [page]: the installed frame source's,
+   else a fresh one from the region's allocator; -1 when memory is out. *)
+let fault_frame t task region page =
+  let provided =
+    match t.frame_source with Some f -> f task region ~addr:page | None -> -1
+  in
+  if provided >= 0 then provided
+  else
+    match Alloc.alloc (allocator_for t region.Vma.kind) with
+    | Some pfn -> pfn
+    | None -> -1
+
+(* Sandbox-declared memory is deliberately absent from the kernel direct
+   map: the monitor's single-mapping rule forbids a second (kernel-visible)
+   mapping of confined frames. *)
+let direct_map_fault_frame t region ~pfn =
+  match region.Vma.kind with
+  | Vma.Confined | Vma.Common -> ()
+  | Vma.Anon | Vma.Stack | Vma.File _ -> ensure_direct_map t ~pfn
+
+(* The leaf mirrors the VMA protection (common regions may be writable in
+   the VMA until the monitor seals them). *)
+let fault_leaf region page pfn =
+  let prot = region.Vma.prot in
+  Hw.Pte.make_leaf ~pfn ~user:(Layout.is_user_addr page) ~writable:prot.Vma.write
+    ~nx:(not prot.Vma.exec)
+
+let page_fault_body t task ~addr ~kind =
   cost t Hw.Cycles.Cost.page_fault_base;
   t.stats.page_faults <- t.stats.page_faults + 1;
   emit t Obs.Trace.Page_fault ~arg:addr;
@@ -212,45 +239,37 @@ let handle_page_fault t task ~addr ~kind =
       end
       else begin
         let page = Layout.page_align_down addr in
-        let provided =
-          match t.frame_source with
-          | Some f -> f task region ~addr:page
-          | None -> None
-        in
-        let pfn =
-          match provided with
-          | Some pfn -> Some pfn
-          | None -> Alloc.alloc (allocator_for t region.Vma.kind)
-        in
-        match pfn with
-        | None -> Error "out of memory"
-        | Some pfn ->
-            (* Sandbox-declared memory is deliberately absent from the
-               kernel direct map: the monitor's single-mapping rule forbids
-               a second (kernel-visible) mapping of confined frames. *)
-            (match region.Vma.kind with
-            | Vma.Confined | Vma.Common -> ()
-            | Vma.Anon | Vma.Stack | Vma.File _ -> ensure_direct_map t ~pfn);
-            let writable =
-              (* Common regions may be writable in the VMA until the monitor
-                 seals them; the PTE mirrors the VMA protection. *)
-              region.Vma.prot.Vma.write
-            in
-            let pte =
-              Hw.Pte.make ~pfn
-                { Hw.Pte.default_flags with
-                  user = Layout.is_user_addr page;
-                  writable;
-                  nx = not region.Vma.prot.Vma.exec }
-            in
-            Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
-              ~alloc_ptp:(alloc_ptp t) ~root_pfn:task.Task.root_pfn ~vaddr:page pte;
-            Ok ()
+        let pfn = fault_frame t task region page in
+        if pfn < 0 then Error "out of memory"
+        else begin
+          direct_map_fault_frame t region ~pfn;
+          Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
+            ~alloc_ptp:t.alloc_ptp ~root_pfn:task.Task.root_pfn ~vaddr:page
+            (fault_leaf region page pfn);
+          Ok ()
+        end
       end
+
+(* The [Pf_handler] span is written out inline, as in [syscall] below, so
+   a fault builds no closure. *)
+let handle_page_fault t task ~addr ~kind =
+  emit t (Obs.Trace.span_begin Obs.Trace.Pf_handler) ~arg:0;
+  match page_fault_body t task ~addr ~kind with
+  | r ->
+      emit t (Obs.Trace.span_end Obs.Trace.Pf_handler) ~arg:0;
+      r
+  | exception e ->
+      emit t (Obs.Trace.span_end Obs.Trace.Pf_handler) ~arg:0;
+      raise e
+
+let mapped t task page =
+  Hw.Page_table.present (Hw.Page_table.lookup t.mem ~root_pfn:task.Task.root_pfn page)
 
 (* Batched population: the demand-zero faults still occur page by page,
    but the leaf PTE stores are submitted to the monitor in batches of 64,
-   sharing EMC round trips (§9.1's batched-MMU optimization). *)
+   sharing EMC round trips (§9.1's batched-MMU optimization). A failure
+   part-way still stores the leaves prepared before it, as the unbatched
+   path would have. *)
 let populate_batched t task ~first ~last =
   let batch = ref [] and count = ref 0 in
   let flush () =
@@ -260,53 +279,37 @@ let populate_batched t task ~first ~last =
       count := 0
     end
   in
+  let fail e =
+    flush ();
+    Error e
+  in
   let rec go page =
     if page >= last then begin
       flush ();
       Ok ()
     end
-    else
-      match Hw.Page_table.walk t.mem ~root_pfn:task.Task.root_pfn page with
-      | Some _ -> go (page + Hw.Phys_mem.page_size)
-      | None -> (
-          cost t Hw.Cycles.Cost.page_fault_base;
-          t.stats.page_faults <- t.stats.page_faults + 1;
-          emit t Obs.Trace.Page_fault ~arg:page;
-          match Vma.find task.Task.vmas page with
-          | None -> Error (Printf.sprintf "segfault: no mapping at 0x%x" page)
-          | Some region -> (
-              let provided =
-                match t.frame_source with
-                | Some f -> f task region ~addr:page
-                | None -> None
-              in
-              let pfn =
-                match provided with
-                | Some pfn -> Some pfn
-                | None -> Alloc.alloc (allocator_for t region.Vma.kind)
-              in
-              match pfn with
-              | None -> Error "out of memory"
-              | Some pfn ->
-                  (match region.Vma.kind with
-                  | Vma.Confined | Vma.Common -> ()
-                  | Vma.Anon | Vma.Stack | Vma.File _ -> ensure_direct_map t ~pfn);
-                  let slot =
-                    Hw.Page_table.prepare_leaf t.mem
-                      ~write_pte:t.privops.Privops.write_pte ~alloc_ptp:(alloc_ptp t)
-                      ~root_pfn:task.Task.root_pfn ~vaddr:page
-                  in
-                  let pte =
-                    Hw.Pte.make ~pfn
-                      { Hw.Pte.default_flags with
-                        user = Layout.is_user_addr page;
-                        writable = region.Vma.prot.Vma.write;
-                        nx = not region.Vma.prot.Vma.exec }
-                  in
-                  batch := (slot, pte) :: !batch;
-                  incr count;
-                  if !count >= 64 then flush ();
-                  go (page + Hw.Phys_mem.page_size)))
+    else if mapped t task page then go (page + Hw.Phys_mem.page_size)
+    else begin
+      cost t Hw.Cycles.Cost.page_fault_base;
+      t.stats.page_faults <- t.stats.page_faults + 1;
+      emit t Obs.Trace.Page_fault ~arg:page;
+      match Vma.find task.Task.vmas page with
+      | None -> fail (Printf.sprintf "segfault: no mapping at 0x%x" page)
+      | Some region ->
+          let pfn = fault_frame t task region page in
+          if pfn < 0 then fail "out of memory"
+          else begin
+            direct_map_fault_frame t region ~pfn;
+            let slot =
+              Hw.Page_table.prepare_leaf t.mem ~write_pte:t.privops.Privops.write_pte
+                ~alloc_ptp:t.alloc_ptp ~root_pfn:task.Task.root_pfn ~vaddr:page
+            in
+            batch := (slot, fault_leaf region page pfn) :: !batch;
+            incr count;
+            if !count >= 64 then flush ();
+            go (page + Hw.Phys_mem.page_size)
+          end
+    end
   in
   go first
 
@@ -318,13 +321,11 @@ let populate t task ~start ~len =
   else begin
     let rec go page =
       if page >= last then Ok ()
+      else if mapped t task page then go (page + Hw.Phys_mem.page_size)
       else
-        match Hw.Page_table.walk t.mem ~root_pfn:task.Task.root_pfn page with
-        | Some _ -> go (page + Hw.Phys_mem.page_size)
-        | None -> (
-            match handle_page_fault t task ~addr:page ~kind:Hw.Fault.Write with
-            | Ok () -> go (page + Hw.Phys_mem.page_size)
-            | Error e -> Error e)
+        match handle_page_fault t task ~addr:page ~kind:Hw.Fault.Write with
+        | Ok () -> go (page + Hw.Phys_mem.page_size)
+        | Error e -> Error e
     in
     go first
   end
@@ -362,7 +363,7 @@ let load_module t ~name ~code =
                   ~len:chunk;
               (* Map read-only + executable: W^X for dynamic code too. *)
               Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
-                ~alloc_ptp:(alloc_ptp t) ~root_pfn:t.kernel_root ~vaddr:(base + off)
+                ~alloc_ptp:t.alloc_ptp ~root_pfn:t.kernel_root ~vaddr:(base + off)
                 (Hw.Pte.make ~pfn { Hw.Pte.default_flags with writable = false }))
             frames;
           Ok base)
@@ -382,9 +383,8 @@ let poke_text t ~vaddr ~code =
           Ok ())
 
 let resolve_pfn t task ~addr =
-  Option.map
-    (fun w -> w.Hw.Page_table.pfn)
-    (Hw.Page_table.walk t.mem ~root_pfn:task.Task.root_pfn addr)
+  let r = Hw.Page_table.lookup t.mem ~root_pfn:task.Task.root_pfn addr in
+  if Hw.Page_table.present r then Some (Hw.Page_table.frame t.mem r addr) else None
 
 let fork_process t parent ~name =
   let child = create_task t ~name ~kind:parent.Task.kind in
@@ -411,7 +411,7 @@ let fork_process t parent ~name =
                 t.stats.page_faults <- t.stats.page_faults + 1;
                 emit t Obs.Trace.Page_fault ~arg:!page;
                 Hw.Page_table.map t.mem ~write_pte:t.privops.Privops.write_pte
-                  ~alloc_ptp:(alloc_ptp t) ~root_pfn:child.Task.root_pfn ~vaddr:!page
+                  ~alloc_ptp:t.alloc_ptp ~root_pfn:child.Task.root_pfn ~vaddr:!page
                   (Hw.Pte.with_pfn w.Hw.Page_table.pte pfn)));
         page := !page + Hw.Phys_mem.page_size
       done)
@@ -425,20 +425,20 @@ let munmap t task ~addr =
   | Some region ->
       let page = ref region.Vma.start in
       while !page < Vma.region_end region do
-        (match Hw.Page_table.walk t.mem ~root_pfn:task.Task.root_pfn !page with
-        | None -> ()
-        | Some w ->
-            let pfn = Hw.Pte.pfn w.Hw.Page_table.pte in
-            Hw.Page_table.unmap t.mem ~write_pte:t.privops.Privops.write_pte
-              ~root_pfn:task.Task.root_pfn ~vaddr:!page;
-            (* Common frames back a shared instance other address spaces may
-               still map: only the mapping goes away, never the frame. *)
-            (match region.Vma.kind with
-            | Vma.Common -> ()
-            | Vma.Anon | Vma.Stack | Vma.File _ | Vma.Confined ->
-                let allocator = allocator_for t region.Vma.kind in
-                (try if Alloc.is_allocated allocator pfn then Alloc.free allocator pfn
-                 with Invalid_argument _ -> ( (* frame owned elsewhere *) ))));
+        let r = Hw.Page_table.lookup t.mem ~root_pfn:task.Task.root_pfn !page in
+        if Hw.Page_table.present r then begin
+          let pfn = Hw.Page_table.present_frame t.mem (Hw.Page_table.slot r) in
+          Hw.Page_table.unmap t.mem ~write_pte:t.privops.Privops.write_pte
+            ~root_pfn:task.Task.root_pfn ~vaddr:!page;
+          (* Common frames back a shared instance other address spaces may
+             still map: only the mapping goes away, never the frame. *)
+          match region.Vma.kind with
+          | Vma.Common -> ()
+          | Vma.Anon | Vma.Stack | Vma.File _ | Vma.Confined -> (
+              let allocator = allocator_for t region.Vma.kind in
+              try if Alloc.is_allocated allocator pfn then Alloc.free allocator pfn
+              with Invalid_argument _ -> ( (* frame owned elsewhere *) ))
+        end;
         page := !page + Hw.Phys_mem.page_size
       done;
       task.Task.vmas <- Vma.remove task.Task.vmas ~start:addr;

@@ -34,13 +34,16 @@ type t = {
   fs : Fs.t;
   sched : Sched.t;
   kernel_root : int;       (** Master kernel page-table root (PML4 pfn). *)
+  alloc_ptp : unit -> int;
+      (** A zeroed general-purpose frame for a new page-table page; built
+          once at boot, so growing a table passes no fresh closure. *)
   tasks : (int, Task.t) Hashtbl.t;
   mutable next_tid : int;
   stats : stats;
-  mutable frame_source :
-    (Task.t -> Vma.region -> addr:int -> int option) option;
+  mutable frame_source : (Task.t -> Vma.region -> addr:int -> int) option;
       (** Erebor hook: serve fault frames from common-memory instances or
-          pinned confined pools instead of the general allocator. *)
+          pinned confined pools instead of the general allocator. A
+          negative answer leaves the fault to the region's allocator. *)
   futex_waiters : Task.t Queue.t;
   mutable mmu_batching : bool;
       (** When set, bulk operations ({!populate}) submit leaf PTEs through
@@ -119,7 +122,7 @@ val exit_task : t -> Task.t -> code:int -> unit
 val brk : t -> Task.t -> new_brk:int -> (int, string) result
 (** Grow the program break (shrinking is accepted but ignored). *)
 
-val set_frame_source : t -> (Task.t -> Vma.region -> addr:int -> int option) -> unit
+val set_frame_source : t -> (Task.t -> Vma.region -> addr:int -> int) -> unit
 (** Install the Erebor fault-frame provider (see {!field-frame_source}). *)
 
 val set_mmu_batching : t -> bool -> unit

@@ -711,6 +711,92 @@ let test_gate_call_no_alloc backend () =
   let allocated = Gc.minor_words () -. before in
   Alcotest.(check bool) "gate dispatch allocation-free" true (allocated < 256.0)
 
+(* A populate that runs off the end of its VMA fails part-way. The batched
+   path must still store the leaves it prepared before the failure, so it
+   ends exactly where the unbatched path does: same error, same pages
+   mapped, same frames drawn. Each run gets a fresh machine so shared
+   direct-map tables are drawn afresh in both. *)
+let populate_overrun ~batched =
+  let st = make_stack () in
+  Kernel.set_mmu_batching st.kern batched;
+  let task = Kernel.create_task st.kern ~name:"overrun" ~kind:Kernel.Task.Normal in
+  let base =
+    Result.get_ok
+      (Kernel.mmap st.kern task ~len:(4 * 4096) ~prot:Kernel.Vma.prot_rw
+         ~kind:Kernel.Vma.Anon)
+  in
+  let used0 = Kernel.Alloc.used st.kern.Kernel.frame_alloc in
+  let result = Kernel.populate st.kern task ~start:base ~len:(6 * 4096) in
+  let drawn = Kernel.Alloc.used st.kern.Kernel.frame_alloc - used0 in
+  let mapped =
+    List.init 4 (fun i -> Kernel.resolve_pfn st.kern task ~addr:(base + (i * 4096)))
+  in
+  (result, mapped, drawn)
+
+let test_batched_populate_error_flushes () =
+  let r1, mapped1, drawn1 = populate_overrun ~batched:false in
+  let r2, mapped2, drawn2 = populate_overrun ~batched:true in
+  let result = Alcotest.(result unit string) in
+  Alcotest.(check bool) "populate past the VMA fails" true (Result.is_error r1);
+  Alcotest.check result "same error" r1 r2;
+  Alcotest.(check int) "unbatched maps every VMA page" 4
+    (List.length (List.filter Option.is_some mapped1));
+  Alcotest.(check (list (option int))) "same pages mapped, same frames" mapped1 mapped2;
+  Alcotest.(check int) "same frames drawn" drawn1 drawn2
+
+(* The first attach fixes a common instance's size; a second tenant naming
+   it with another size is refused, not raised on. *)
+let test_attach_common_size_mismatch () =
+  let st = make_stack () in
+  let a, _ = make_tenant st ~name:"a" ~pages:2 in
+  let b, _ = make_tenant st ~name:"b" ~pages:2 in
+  ignore (Result.get_ok (Erebor.Sandbox.attach_common st.mgr a ~name:"m" ~size:(4 * 4096)));
+  (match Erebor.Sandbox.attach_common st.mgr b ~name:"m" ~size:(8 * 4096) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "size mismatch accepted");
+  Alcotest.(check bool) "same size still attaches" true
+    (Result.is_ok (Erebor.Sandbox.attach_common st.mgr b ~name:"m" ~size:(4 * 4096)))
+
+(* [Gc.minor_words] boxes its own result: calibrate that out. *)
+let minor_probe () =
+  let a = Gc.minor_words () in
+  Gc.minor_words () -. a
+
+(* Words a steady-state demand fault allocates: a second sandbox faulting
+   common pages that are already in the instance, after its first fault
+   built the intermediate tables. Measured at 16: the VMA lookup's option
+   (2), the sandbox-table probe's option (2) and the leaf PTE's box (3) in
+   the kernel; the root-table probe's option (2), the leaf verdict (2) and
+   the common-mapping probe and record (2 + 3) in the MMU guard. *)
+let fault_words_bound = 16.0
+
+let test_common_fault_alloc_pin () =
+  let st = make_stack () in
+  let pages = 64 in
+  let size = pages * 4096 in
+  let a, _ = make_tenant st ~name:"a" ~pages:2 in
+  let abase = Result.get_ok (Erebor.Sandbox.attach_common st.mgr a ~name:"m" ~size) in
+  Result.get_ok (Kernel.populate st.kern (Erebor.Sandbox.main_task a) ~start:abase ~len:size);
+  let b, _ = make_tenant st ~name:"b" ~pages:2 in
+  let base = Result.get_ok (Erebor.Sandbox.attach_common st.mgr b ~name:"m" ~size) in
+  let fault addr =
+    match Erebor.Sandbox.page_fault st.mgr b ~addr ~kind:Hw.Fault.Write with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  in
+  fault base;
+  let probe = minor_probe () in
+  let w0 = Gc.minor_words () in
+  for i = 1 to pages - 1 do
+    fault (base + (i * 4096))
+  done;
+  let per_fault = (Gc.minor_words () -. w0 -. probe) /. float_of_int (pages - 1) in
+  Alcotest.(check int) "no frame drawn" pages
+    (Erebor.Sandbox.common_instance_frames st.mgr ~name:"m");
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per fault <= %.0f" per_fault fault_words_bound)
+    true (per_fault <= fault_words_bound)
+
 let () =
   Alcotest.run "extensions"
     [
@@ -718,6 +804,8 @@ let () =
         [
           Alcotest.test_case "cheaper, same result" `Quick test_batching_cheaper_same_result;
           Alcotest.test_case "policy in batches" `Quick test_batch_policy_still_enforced;
+          Alcotest.test_case "error flushes pending batch" `Quick
+            test_batched_populate_error_flushes;
         ] );
       ( "mitigations (11)",
         [
@@ -767,5 +855,11 @@ let () =
             (test_gate_call_no_alloc Erebor.Isolation.Pks);
           Alcotest.test_case "gate dispatch no-alloc (tmemk)" `Quick
             (test_gate_call_no_alloc Erebor.Isolation.Tme_mk);
+        ] );
+      ( "common memory",
+        [
+          Alcotest.test_case "size mismatch refused" `Quick test_attach_common_size_mismatch;
+          Alcotest.test_case "steady-state fault allocation" `Quick
+            test_common_fault_alloc_pin;
         ] );
     ]

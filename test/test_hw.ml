@@ -242,6 +242,200 @@ let prop_pt_model =
           | _ -> false)
         (List.init 16 Fun.id))
 
+(* Reference walker: the list-based descent the simulator used before the
+   packed lookup, kept here as an oracle. It builds an index list and
+   recurses level by level; a present PS entry at the page-directory level
+   is a 2 MiB leaf. *)
+module Ref_walk = struct
+  let entry_addr table_pfn index = Phys_mem.addr_of_pfn table_pfn + (8 * index)
+
+  let walk mem ~root_pfn vaddr =
+    let i4, i3, i2, i1 = Page_table.split vaddr in
+    let rec descend pfn indices user writable nx =
+      match indices with
+      | [] -> assert false
+      | [ leaf_idx ] ->
+          let pte_addr = entry_addr pfn leaf_idx in
+          let pte = Phys_mem.read_u64 mem pte_addr in
+          if not (Pte.present pte) then None
+          else
+            Some
+              {
+                Page_table.pte;
+                pte_addr;
+                user = user && Pte.user pte;
+                writable = writable && Pte.writable pte;
+                nx = nx || Pte.nx pte;
+                huge = false;
+                pfn = Pte.pfn pte;
+              }
+      | idx :: rest ->
+          let pte_addr = entry_addr pfn idx in
+          let e = Phys_mem.read_u64 mem pte_addr in
+          if not (Pte.present e) then None
+          else if Pte.huge e && List.length rest = 1 then
+            Some
+              {
+                Page_table.pte = e;
+                pte_addr;
+                user = user && Pte.user e;
+                writable = writable && Pte.writable e;
+                nx = nx || Pte.nx e;
+                huge = true;
+                pfn = Pte.pfn e + i1;
+              }
+          else
+            descend (Pte.pfn e) rest (user && Pte.user e) (writable && Pte.writable e)
+              (nx || Pte.nx e)
+    in
+    descend root_pfn [ i4; i3; i2; i1 ] true true false
+
+  (* The leaf slot. One deliberate difference from the old [leaf_addr]: a
+     present 2 MiB leaf is its own slot, where the old descent read on into
+     the huge frame's data as if it were a page table. *)
+  let leaf_addr mem ~root_pfn vaddr =
+    let i4, i3, i2, i1 = Page_table.split vaddr in
+    let rec descend pfn = function
+      | [] -> assert false
+      | [ leaf_idx ] -> Some (entry_addr pfn leaf_idx)
+      | idx :: rest ->
+          let slot = entry_addr pfn idx in
+          let e = Phys_mem.read_u64 mem slot in
+          if not (Pte.present e) then None
+          else if Pte.huge e && List.length rest = 1 then Some slot
+          else descend (Pte.pfn e) rest
+    in
+    descend root_pfn [ i4; i3; i2; i1 ]
+end
+
+(* A random tree rooted at frame 0. Each table fills a few of the slots
+   [tree_indices] names; every entry gets independent P, U/S, R/W, NX, A/D,
+   pkey and keyid bits (non-present entries keep theirs), a PD slot may
+   hold a 2 MiB leaf, and upper-level entries may carry a PS bit the
+   walker must ignore. *)
+let tree_indices = [ 0; 1; 2; 511 ]
+
+let random_tree seed =
+  let rs = Random.State.make [| seed |] in
+  let frames = 128 in
+  let mem = Phys_mem.create ~frames in
+  let next = ref 1 in
+  let bool () = Random.State.bool rs in
+  let entry ~pfn =
+    let flags =
+      { Pte.present = Random.State.int rs 5 > 0; writable = bool (); user = bool ();
+        nx = bool (); pkey = Random.State.int rs 16; accessed = bool (); dirty = bool () }
+    in
+    Pte.set_keyid (Pte.make ~pfn flags) (Random.State.int rs 1024)
+  in
+  let rec build table level =
+    List.iter
+      (fun idx ->
+        if Random.State.int rs 4 > 0 then begin
+          let slot = Phys_mem.addr_of_pfn table + (8 * idx) in
+          if level = 1 then
+            Phys_mem.write_u64 mem slot (entry ~pfn:(Random.State.bits rs land 0xf_ffff_ffff))
+          else if level = 2 && Random.State.int rs 3 = 0 then
+            Phys_mem.write_u64 mem slot
+              (Pte.set_huge (entry ~pfn:(Random.State.bits rs land 0x7ff_fe00)) true)
+          else if !next < frames then begin
+            let child = !next in
+            incr next;
+            let e = entry ~pfn:child in
+            let e = if level > 2 && Random.State.int rs 4 = 0 then Pte.set_huge e true else e in
+            Phys_mem.write_u64 mem slot e;
+            if Pte.present e then build child (level - 1)
+          end
+        end)
+      tree_indices
+  in
+  build 0 4;
+  mem
+
+let tree_queries seed =
+  let rs = Random.State.make [| seed; 1 |] in
+  let idx = 3 :: tree_indices in
+  List.concat_map
+    (fun i4 ->
+      List.concat_map
+        (fun i3 ->
+          List.concat_map
+            (fun i2 ->
+              List.map
+                (fun i1 ->
+                  (i4 lsl 39) lor (i3 lsl 30) lor (i2 lsl 21) lor (i1 lsl 12)
+                  lor Random.State.int rs 4096)
+                idx)
+            idx)
+        idx)
+    idx
+
+let walkers_agree mem vaddr =
+  let root_pfn = 0 in
+  let reference = Ref_walk.walk mem ~root_pfn vaddr in
+  let slot = Ref_walk.leaf_addr mem ~root_pfn vaddr in
+  let r = Page_table.lookup mem ~root_pfn vaddr in
+  Page_table.walk mem ~root_pfn vaddr = reference
+  && Page_table.leaf_addr mem ~root_pfn vaddr = slot
+  && Page_table.found r = Option.is_some slot
+  && (match slot with Some s -> Page_table.slot r = s | None -> true)
+  && Page_table.present r = Option.is_some reference
+  &&
+  match reference with
+  | None -> true
+  | Some w ->
+      Page_table.user r = w.Page_table.user
+      && Page_table.writable r = w.Page_table.writable
+      && Page_table.nx r = w.Page_table.nx
+      && Page_table.huge r = w.Page_table.huge
+      && Page_table.pkey r = Pte.pkey w.Page_table.pte
+      && Page_table.frame mem r vaddr = w.Page_table.pfn
+      && Page_table.present_frame mem (Page_table.slot r) = Pte.pfn w.Page_table.pte
+
+let prop_walker_oracle =
+  QCheck.Test.make ~name:"packed descent agrees with the list walker" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let mem = random_tree seed in
+      List.for_all (walkers_agree mem) (tree_queries seed))
+
+let test_pt_prepare_under_huge_refused () =
+  let mem, alloc_ptp, write_pte = make_env () in
+  let root = alloc_ptp () in
+  let vaddr = 0x4000_0000 in
+  Page_table.map_huge mem ~write_pte ~alloc_ptp ~root_pfn:root ~vaddr
+    (Pte.make ~pfn:512 Pte.default_flags);
+  Alcotest.check_raises "4 KiB map inside a 2 MiB leaf"
+    (Invalid_argument "Page_table.prepare_leaf: address lies in a 2MiB leaf") (fun () ->
+      Page_table.map mem ~write_pte ~alloc_ptp ~root_pfn:root ~vaddr:(vaddr + 0x3000)
+        (Pte.make ~pfn:9 Pte.default_flags))
+
+let test_pt_lookup_no_alloc () =
+  let mem, alloc_ptp, write_pte = make_env () in
+  let root = alloc_ptp () in
+  let vaddr = 0x7f_1234_5000 in
+  for i = 0 to 3 do
+    Page_table.map mem ~write_pte ~alloc_ptp ~root_pfn:root ~vaddr:(vaddr + (i * 0x1000))
+      (Pte.make ~pfn:(100 + i) { Pte.default_flags with user = true; nx = true; pkey = 5 })
+  done;
+  let acc = ref 0 in
+  (* Pages 0..3 are mapped, 4..7 are empty slots of the same table. *)
+  let fill i =
+    let va = vaddr + ((i land 7) * 0x1000) in
+    let r = Page_table.lookup mem ~root_pfn:root va in
+    if Page_table.present r then begin
+      acc := !acc + Page_table.frame mem r va + Page_table.pkey r;
+      Page_table.mark_accessed mem r ~dirty:(i land 1 = 0)
+    end
+  in
+  let c =
+    Workloads.Bench_gate.zero_alloc_check ~name:"page-table lookup" ~n:10_000
+      ~unit_:"lookup" ~what:"lookups" fill
+  in
+  (* Each mapped page is hit 1250 times: frames 100..103, pkey 5. *)
+  Alcotest.(check int) "lookups resolved" ((1250 * (100 + 101 + 102 + 103)) + (5000 * 5)) !acc;
+  Alcotest.(check bool) c.Workloads.Bench_gate.detail true c.Workloads.Bench_gate.ok
+
 (* ------------------------------------------------------------------ *)
 (* Access checks                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -876,6 +1070,11 @@ let () =
           Alcotest.test_case "update" `Quick test_pt_update;
           Alcotest.test_case "distinct vaddrs" `Quick test_pt_distinct_vaddrs;
           qt prop_pt_model;
+          qt prop_walker_oracle;
+          Alcotest.test_case "prepare under a 2 MiB leaf" `Quick
+            test_pt_prepare_under_huge_refused;
+          Alcotest.test_case "packed lookup allocation-free" `Quick
+            test_pt_lookup_no_alloc;
         ] );
       ( "access",
         [

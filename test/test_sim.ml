@@ -176,6 +176,24 @@ let test_common_shared_across_runs () =
   Alcotest.(check int) "instance fully materialized" 64 r1.Sim.Machine.common_frames;
   Alcotest.(check int) "second run reuses the same frames" 64 r2.Sim.Machine.common_frames
 
+(* Words [Machine.create] allocates straight into the major heap (large
+   arrays, not promotions). RAM-sized tables allocated up front cost
+   [setup_s] twice: once to fill, and again when the C allocator has
+   returned the freed heap between machines and the next create faults it
+   all back in. The frame table is the one per-frame array left (2 MiB for
+   the default 262,144 frames); the guard's class table is chunked. *)
+let test_create_major_alloc () =
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let d0 = direct () in
+  let m = Sim.Machine.create ~setting:Sim.Config.Erebor_full () in
+  let words = direct () -. d0 in
+  ignore (Sys.opaque_identity m);
+  let mib = words *. float_of_int (Sys.word_size / 8) /. 1048576.0 in
+  Alcotest.(check bool) (Printf.sprintf "%.2f MiB <= 3 MiB" mib) true (mib <= 3.0)
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -268,6 +286,7 @@ let () =
           Alcotest.test_case "cold faults sustain" `Quick test_cold_fault_sustains_pf;
           Alcotest.test_case "init overhead" `Quick test_init_overhead_positive_under_emc;
           Alcotest.test_case "common shared" `Quick test_common_shared_across_runs;
+          Alcotest.test_case "create major allocation" `Quick test_create_major_alloc;
         ] );
       ("stats", [ Alcotest.test_case "diff/rates" `Quick test_stats_diff ]);
       ( "runner",
