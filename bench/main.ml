@@ -455,9 +455,20 @@ let bechamel_tests () =
     Test.make ~name:"memshare-2-sandboxes"
       (Staged.stage (fun () -> ignore (Workloads.Eval.memshare ~max_sandboxes:2 ())))
   in
-  (* Telemetry record paths, 1000 records per run: a per-kind sketch
-     family behind an emitter vs one bare sketch vs the full fleet record
-     (sketch + per-tenant sketch + heavy-hitter + exemplar). *)
+  (* Telemetry record paths, 1000 records per run: a bare emitter (its
+     built-in per-kind table only, what a machine's statistics cost per
+     event) vs a per-kind sketch family behind an emitter vs one bare
+     sketch vs the full fleet record (sketch + per-tenant sketch +
+     heavy-hitter + exemplar). *)
+  let bare_obs = Obs.Emitter.create () in
+  let emit_test =
+    Test.make ~name:"obs-emit-1k"
+      (Staged.stage (fun () ->
+           for i = 1 to 1000 do
+             Obs.Emitter.emit bare_obs Obs.Trace.Req_end ~ts:i
+               ~arg:(i land 0xFFFF)
+           done))
+  in
   let family_obs = Obs.Emitter.create () in
   let _family =
     Obs.Sketch.Family.attach family_obs (Obs.Sketch.Family.create ())
@@ -490,7 +501,7 @@ let bechamel_tests () =
   in
   Test.make_grouped ~name:"erebor-eval"
     [ table3_test; table4_test; fig8_test; fig9_test; table6_test; fig10_test;
-      memshare_test; family_test; sketch_test; agg_test ]
+      memshare_test; emit_test; family_test; sketch_test; agg_test ]
 
 let run_bechamel () =
   let open Bechamel in
@@ -646,8 +657,7 @@ let run_check ~baseline ~full ~from_journal () =
     match from_journal with
     | None ->
         header (Printf.sprintf "Regression gate: current build vs %s" baseline);
-        Workloads.Bench_gate.check_file ~fig9:full ?jobs:!jobs_arg
-          ~path:baseline ()
+        Workloads.Bench_gate.check_file ~fig9:full ~path:baseline ()
     | Some journal ->
         header
           (Printf.sprintf "Regression gate: recording %s vs %s" journal
@@ -902,8 +912,7 @@ let () =
           print_attrib ());
       target "icode" "Decoded-instruction cache microbenchmark" (fun _ ->
           print_icode ());
-      target "check"
-        ~flags:[ jobs_flag; baseline_flag; full_flag; from_journal_flag ]
+      target "check" ~flags:[ baseline_flag; full_flag; from_journal_flag ]
         "Regression gate vs the committed BENCH_sim.json" (fun p ->
           run_check ~baseline:(baseline_of p) ~full:(C.has p full_flag)
             ~from_journal:(C.str p from_journal_flag) ());

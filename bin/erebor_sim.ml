@@ -307,7 +307,6 @@ let profile_body p =
   let flame = C.str p flame_flag in
   let metrics = C.str p metrics_flag in
   let obs = Obs.Emitter.create () in
-  let counters = Obs.Counter.attach obs (Obs.Counter.create ()) in
   let family = Obs.Sketch.Family.attach obs (Obs.Sketch.Family.create ()) in
   let attrib = Obs.Attrib.attach obs (Obs.Attrib.create ()) in
   (* The attribution context tree must be closed before export; doing it
@@ -315,6 +314,7 @@ let profile_body p =
      exactly the same way the normal path does. *)
   Obs.Emitter.add_finalizer obs (fun ~now -> Obs.Attrib.close attrib ~now);
   let m = Sim.Machine.create ~obs ~setting () in
+  let counters = Sim.Machine.counters m in
   let write_exports () =
     (match flame with
     | None -> ()

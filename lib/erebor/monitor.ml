@@ -27,9 +27,10 @@ type t = {
   mutable cache_hits : int;
   mutable usercopy_veto : unit -> string option;
   counters : Obs.Counter.t;
-      (* Monitor-local counter sink on the CPU's emitter: the per-kind EMC
-         statistics are *derived* from the event stream, never mutated
-         directly. *)
+      (* View of the CPU emitter's built-in per-kind table (no sink of its
+         own): the per-kind EMC statistics are *derived* from the event
+         stream, never mutated directly. EMC kinds are emitted only once a
+         monitor is installed, so the view's EMC rows are this monitor's. *)
 }
 
 let gate t = t.gate
@@ -77,7 +78,7 @@ let install ?(backend = Isolation.Pks) ~cpu ~mem ~td ~firmware ~monitor_frames
       cpuid_cache = Hashtbl.create 8;
       cache_hits = 0;
       usercopy_veto = (fun () -> None);
-      counters = Obs.Counter.attach cpu.Hw.Cpu.obs (Obs.Counter.create ());
+      counters = Obs.Counter.of_emitter cpu.Hw.Cpu.obs;
     }
   in
   (* Claim monitor memory. *)

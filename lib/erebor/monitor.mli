@@ -84,8 +84,9 @@ type emc_stats = {
   smap : int;
   ghci : int;
 }
-(** Per-kind EMC service counts, derived on demand from the monitor's
-    counter sink on the event bus — there is no mutable statistics record. *)
+(** Per-kind EMC service counts, derived on demand from the event bus's
+    built-in per-kind table ({!Obs.Counter.of_emitter} on the CPU's
+    emitter) — there is no mutable statistics record and no sink. *)
 
 val emc_stats : t -> emc_stats
 val emc_total : t -> int

@@ -12,6 +12,8 @@ let attach emitter t =
   Emitter.attach emitter (sink t);
   t
 
+let of_emitter e = { counts = Emitter.counts e; arg_sums = Emitter.arg_sums e }
+
 let count t kind = t.counts.(Trace.index kind)
 let arg_sum t kind = t.arg_sums.(Trace.index kind)
 

@@ -1,6 +1,8 @@
 type sink = Trace.kind -> ts:int -> arg:int -> unit
 
 type t = {
+  counts : int array;
+  arg_sums : int array;
   mutable sinks : sink array;
   mutable audit : Audit.t option;
   mutable finalizers : (now:int -> unit) list;
@@ -8,16 +10,31 @@ type t = {
 }
 
 let create () =
-  { sinks = [||]; audit = None; finalizers = []; finalized = false }
+  {
+    counts = Array.make Trace.n_kinds 0;
+    arg_sums = Array.make Trace.n_kinds 0;
+    sinks = [||];
+    audit = None;
+    finalizers = [];
+    finalized = false;
+  }
 
 let attach t sink = t.sinks <- Array.append t.sinks [| sink |]
 
 let sink_count t = Array.length t.sinks
+let counts t = t.counts
+let arg_sums t = t.arg_sums
 
+(* The per-kind table is updated in place before any sink runs; [index] is
+   in [0, n_kinds) by construction, so the stores skip the bounds check. *)
 let emit t kind ~ts ~arg =
+  let i = Trace.index kind in
+  let counts = t.counts and arg_sums = t.arg_sums in
+  Array.unsafe_set counts i (Array.unsafe_get counts i + 1);
+  Array.unsafe_set arg_sums i (Array.unsafe_get arg_sums i + arg);
   let sinks = t.sinks in
-  for i = 0 to Array.length sinks - 1 do
-    (Array.unsafe_get sinks i) kind ~ts ~arg
+  for j = 0 to Array.length sinks - 1 do
+    (Array.unsafe_get sinks j) kind ~ts ~arg
   done
 
 (* Audit hook: the structured side channel for decisions whose detail does

@@ -1,8 +1,16 @@
-(** The event bus: fans each emitted event out to every attached sink.
+(** The event bus: counts each emitted event, then fans it out to every
+    attached sink.
 
-    Sinks are plain callbacks stored in an array; [emit] with no sinks is a
-    bounds check and a loop over zero elements, so instrumented code paths
-    stay cheap when nobody is listening. Emission NEVER advances the virtual
+    The bus itself keeps one per-kind count table and one per-kind
+    argument-sum table (each of length [Trace.n_kinds]); {!emit} updates
+    both in place {e before} calling any sink, so a sink handed an event
+    already sees it counted. {!Counter.of_emitter} is a copy-free view of
+    these tables — it is how a machine and its monitor read their
+    statistics, so a machine with no extra observers carries no sink at
+    all. Sinks are plain callbacks stored in an array; [emit] with no sinks
+    is an index, two array stores and a loop over zero elements, so
+    instrumented code paths stay cheap when nobody is listening, and it
+    allocates nothing. Emission NEVER advances the virtual
     clock — observability is free in simulated time, which is what keeps the
     calibrated tables byte-identical with tracing on or off.
 
@@ -18,7 +26,16 @@ type t
 val create : unit -> t
 val attach : t -> sink -> unit
 val sink_count : t -> int
+(** Attached sinks; the built-in table is not one. *)
+
 val emit : t -> Trace.kind -> ts:int -> arg:int -> unit
+(** Add one to the kind's count and [arg] to its argument sum, then call
+    every sink in attach order. *)
+
+val counts : t -> int array
+val arg_sums : t -> int array
+(** The built-in tables themselves, indexed by {!Trace.index} — shared,
+    not copied; read them through {!Counter.of_emitter}. *)
 
 (** {2 Audit rail} *)
 

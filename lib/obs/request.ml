@@ -104,21 +104,22 @@ let attach t ~machine emitter =
   let current = ref None in
   let sink kind ~ts ~arg =
     match !current with
-    | None ->
-        if kind = Trace.Req_begin then begin
-          let cx, root = unpack arg in
-          current :=
-            Some
-              {
-                bmachine = machine;
-                btrace = cx.trace_id;
-                broot = root;
-                bsampled = cx.sampled;
-                bseg_t0 = ts;
-                btop = [];
-                bstack = [];
-              }
-        end
+    | None -> (
+        match kind with
+        | Trace.Req_begin ->
+            let cx, root = unpack arg in
+            current :=
+              Some
+                {
+                  bmachine = machine;
+                  btrace = cx.trace_id;
+                  broot = root;
+                  bsampled = cx.sampled;
+                  bseg_t0 = ts;
+                  btop = [];
+                  bstack = [];
+                }
+        | _ -> ())
     | Some seg -> (
         match kind with
         | Trace.Req_end ->

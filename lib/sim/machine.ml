@@ -43,11 +43,13 @@ type t = {
   scratch_slots : int array; (* leaf PTE addresses for packet-buffer churn *)
   copy_scratch : bytes; (* reusable landing page for proxy packet drains *)
   counters : Obs.Counter.t;
-      (* Machine-wide counter sink, attached before any component boots:
-         {!snapshot} is derived entirely from this event stream. *)
+      (* View of the emitter's built-in per-kind table, which counts every
+         event from assembly onward: {!snapshot} is derived entirely from
+         this event stream. *)
   requests : Obs.Request.t;
-      (* Request-trace collector watching this machine's emitter; the
-         attested-channel path mints one trace context per session. *)
+      (* Request-trace collector; attached to the emitter only under
+         [Erebor_full], the one setting whose sessions open request
+         windows (the attested-channel path mints one context each). *)
 }
 
 let setting t = t.setting
@@ -66,11 +68,12 @@ let create ?obs ?(backend = Erebor.Isolation.Pks)
   let mem = Hw.Phys_mem.create ~frames in
   let clock = Hw.Cycles.clock () in
   let obs = match obs with Some e -> e | None -> Obs.Emitter.create () in
-  (* Attach the machine's counter sink before anything boots so every event
-     from assembly onward is counted. *)
-  let counters = Obs.Counter.attach obs (Obs.Counter.create ()) in
+  (* The emitter counts in place, so the machine's statistics cost no sink;
+     request tracking does, and only full Erebor opens request windows. *)
+  let counters = Obs.Counter.of_emitter obs in
   let requests = Obs.Request.create ~collect_spans:collect_request_spans () in
-  Obs.Request.attach requests ~machine:"sim" obs;
+  if setting = Config.Erebor_full then
+    Obs.Request.attach requests ~machine:"sim" obs;
   Obs.with_span obs ~now:(fun () -> Hw.Cycles.now clock) Obs.Trace.Boot
   @@ fun () ->
   let cpu = Hw.Cpu.create ~obs ~id:0 ~mem ~clock ~timer_period () in
@@ -143,7 +146,7 @@ let create ?obs ?(backend = Erebor.Isolation.Pks)
     requests;
   }
 
-(* Every field below is a per-kind count from the machine's counter sink;
+(* Every field below is a per-kind count from the emitter's table;
    the modules' own mirrors (kernel stats, gate count, guard denials) are
    kept only for cross-checking, never read here. *)
 let snapshot t =

@@ -18,7 +18,8 @@ val create :
 (** [?obs] supplies the machine's event emitter — attach sinks (journal
     writers, sliding windows, sketch families, recorders) to it before
     [create] to observe boot as well; sinks see events in attach order. A
-    fresh emitter is made otherwise.
+    fresh emitter is made otherwise. Under every setting but [Erebor_full]
+    the machine itself attaches no sink.
     [?backend] picks the monitor's isolation backend (default [Pks], the
     calibrated configuration); it only matters for settings with a monitor.
     [?collect_request_spans] (default false) makes the machine's request
@@ -35,14 +36,20 @@ val obs : t -> Obs.Emitter.t
 (** The machine's event emitter (the one carried by its CPU). *)
 
 val counters : t -> Obs.Counter.t
-(** The machine-wide counter sink {!snapshot} is derived from. *)
+(** The machine-wide counts {!snapshot} is derived from: a view
+    ({!Obs.Counter.of_emitter}) of the emitter's built-in table, so it
+    counts every event since the emitter was made and costs no sink.
+    [Obs.Counter.reset] on it zeroes the machine's statistics. *)
 
 val requests : t -> Obs.Request.t
-(** The request-trace collector watching this machine's emitter. Under
-    [Erebor_full], every sandboxed session mints one trace context at the
-    channel client; the collector always tracks request windows and latency,
-    and additionally assembles causal span trees when the machine was
-    created with [~collect_request_spans:true]. *)
+(** The request-trace collector. It watches the machine's emitter only
+    under [Erebor_full], the one setting whose sessions open request
+    windows: every sandboxed session mints one trace context at the channel
+    client. There the collector tracks request windows and latency, and
+    additionally assembles causal span trees when the machine was created
+    with [~collect_request_spans:true]. On every other setting it is never
+    attached and stays empty ([completed = 0]); a caller that emits its own
+    request markers on such a machine attaches a collector of its own. *)
 
 val snapshot : t -> Stats.snapshot
 

@@ -294,7 +294,10 @@ let table_checks ~family ~key_field ~baseline current =
 let fig9_field field v =
   Printf.sprintf (if field = "overhead_pct" then "%.4f" else "%.2f") v
 
-let fig9_checks ~baseline ~jobs =
+(* The rows are regenerated on one domain: [Gc] counters are per domain in
+   OCaml 5, so words a pool worker allocates would escape the GC budgets
+   below. Fig. 9 rows do not depend on the pool width. *)
+let fig9_checks ~baseline =
   let key row =
     match (str_key "program" row, str_key "setting" row) with
     | Some p, Some s -> Some (p ^ ":" ^ s)
@@ -314,7 +317,7 @@ let fig9_checks ~baseline ~jobs =
                  ("ve_rate", r.Eval.ve_rate);
                  ("emc_rate", r.Eval.emc_rate);
                ] ))
-         (Eval.fig9 ?jobs ()))
+         (Eval.fig9 ~jobs:1 ()))
     (Json.to_arr (Json.member "fig9" baseline))
 
 (* A host-cost budget: [measured] must stay within [tolerance] times the
@@ -338,7 +341,7 @@ let pin_checks family ~key ~cycles default pks =
         (Printf.sprintf "default %d, explicit pks %d" dv pv))
     default pks
 
-let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
+let check_json ?(fig9 = false) ?(wall_tolerance = 1.5)
     ?(gc_tolerance = 0.5) baseline =
   let cpu0 = Sys.time () in
   let minor0 = Gc.minor_words () in
@@ -409,7 +412,7 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
     in
     (default_check :: pks_t3) @ pks_t4
   in
-  let f9 = if fig9 then fig9_checks ~baseline ~jobs else [] in
+  let f9 = if fig9 then fig9_checks ~baseline else [] in
   let cpu = Sys.time () -. cpu0 in
   let minor = Gc.minor_words () -. minor0 in
   let wall =
@@ -441,9 +444,9 @@ let check_json ?(fig9 = false) ?jobs ?(wall_tolerance = 1.5)
 let parse_baseline json =
   Result.map_error (fun e -> "baseline JSON: " ^ e) (Json.parse json)
 
-let check_string ?fig9 ?jobs ?wall_tolerance ?gc_tolerance json =
+let check_string ?fig9 ?wall_tolerance ?gc_tolerance json =
   Result.map
-    (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance)
+    (check_json ?fig9 ?wall_tolerance ?gc_tolerance)
     (parse_baseline json)
 
 let read_baseline path =
@@ -451,8 +454,8 @@ let read_baseline path =
   | json -> parse_baseline json
   | exception Sys_error e -> Result.Error e
 
-let check_file ?fig9 ?jobs ?wall_tolerance ?gc_tolerance ~path () =
-  Result.map (check_json ?fig9 ?jobs ?wall_tolerance ?gc_tolerance)
+let check_file ?fig9 ?wall_tolerance ?gc_tolerance ~path () =
+  Result.map (check_json ?fig9 ?wall_tolerance ?gc_tolerance)
     (read_baseline path)
 
 (* Anchor verification against a flight recording: the journal's Run-span

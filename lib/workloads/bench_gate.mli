@@ -58,7 +58,6 @@ val pp_mismatch_table : Format.formatter -> verdict -> unit
 
 val check_string :
   ?fig9:bool ->
-  ?jobs:int ->
   ?wall_tolerance:float ->
   ?gc_tolerance:float ->
   string ->
@@ -70,11 +69,13 @@ val check_string :
     multiple of the baseline suite's [gc.minor_words] / [gc.major_words].
     The budgets cover (a fraction of) a full suite while the gate
     regenerates only anchors, so they catch order-of-magnitude regressions
-    without noise. *)
+    without noise. Everything the gate regenerates, the [fig9] rows
+    included, runs on the calling domain: OCaml 5's [Gc] counters are per
+    domain, and words allocated by pool workers would escape the GC
+    budgets. *)
 
 val check_file :
   ?fig9:bool ->
-  ?jobs:int ->
   ?wall_tolerance:float ->
   ?gc_tolerance:float ->
   path:string ->

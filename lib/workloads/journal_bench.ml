@@ -7,8 +7,8 @@
       identical to the plain one (emission never advances the virtual
       clock).
    2. Recording is lossless: a drugbank run's journal, replayed into a
-      fresh counter sink, reproduces the live counter sink's per-kind
-      count and arg-sum exactly, for every kind.
+      fresh emitter, reproduces the live machine's per-kind count and
+      arg-sum exactly, for every kind.
    3. Recording is allocation-free: the steady-state record path costs
       exactly 0 minor words per event (seals excepted; the check uses a
       segment large enough that none occur inside the measured window).
@@ -39,7 +39,7 @@ let anchors_check scratch =
       Printf.sprintf "%d events journaled" (J.Writer.events w))
 
 (* Run [spec] under full Erebor with a journal writer on the machine's bus,
-   recording to [path] (caller removes); returns the live counter sink. *)
+   recording to [path] (caller removes); returns the machine's counters. *)
 let record ~path ~workload spec =
   let obs = Obs.Emitter.create () in
   let w =
@@ -57,7 +57,7 @@ let record ~path ~workload spec =
   Obs.Emitter.finalize obs ~now:(Hw.Cycles.now (Sim.Machine.clock m));
   Sim.Machine.counters m
 
-(* One recorded drugbank run: the live counter sink and the recording's
+(* One recorded drugbank run: the live machine counters and the recording's
    CPU cost. *)
 let recorded_run ~path () =
   let spec_fn = List.assoc "drugbank" Eval.all_programs in
@@ -67,7 +67,7 @@ let recorded_run ~path () =
 
 let replay_check ~path live =
   let robs = Obs.Emitter.create () in
-  let replayed = Obs.Counter.attach robs (Obs.Counter.create ()) in
+  let replayed = Obs.Counter.of_emitter robs in
   match
     J.fold ~path ~init:0 (fun n (e : J.event) ->
         Obs.Emitter.emit robs e.J.kind ~ts:e.J.ts ~arg:e.J.arg;

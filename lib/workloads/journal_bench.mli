@@ -5,8 +5,8 @@
     - the Table 3/4 anchor document is byte-identical with a journal writer
       attached to every bench machine (recording never advances the
       virtual clock);
-    - a recorded run replayed into a fresh {!Obs.Counter} reproduces the
-      live counter sink exactly (per-kind count and arg-sum);
+    - a recorded run replayed into a fresh emitter reproduces the live
+      machine's {!Obs.Counter} exactly (per-kind count and arg-sum);
     - the steady-state record path allocates exactly 0 minor words per
       event;
     - {!Obs.Diff} of a journal against itself is silent, while a seeded

@@ -85,7 +85,7 @@ let run ?(backend = Erebor.Isolation.Pks) ?(tenants = 4) ?(rounds = 40)
      from the machine's emitter on purpose — telemetry output must never
      feed back into the windows it is computed from. *)
   let tel = Obs.Emitter.create () in
-  let tel_counter = Obs.Counter.attach tel (Obs.Counter.create ()) in
+  let tel_counter = Obs.Counter.of_emitter tel in
   let chain = Obs.Audit.create ~key:audit_key in
   Obs.Emitter.set_audit tel (Some chain);
 

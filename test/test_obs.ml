@@ -168,6 +168,114 @@ let test_counter_equivalence () =
         snap.Sim.Stats.page_faults)
     Sim.Config.all
 
+(* ------------------------------------------------------------------ *)
+(* The bus's built-in per-kind table                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [Machine.counters] is a view of the emitter's own table, not a sink: on
+   every setting it must agree, kind by kind, with a Counter sink attached
+   to the same emitter before boot. *)
+let test_bus_table_matches_sink () =
+  List.iter
+    (fun setting ->
+      let name field = Sim.Config.name setting ^ " " ^ field in
+      let obs = Obs.Emitter.create () in
+      let sink = Obs.Counter.attach obs (Obs.Counter.create ()) in
+      let m =
+        Sim.Machine.create ~obs ~frames:32768 ~cma_frames:4096 ~setting ()
+      in
+      ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
+      let table = Sim.Machine.counters m in
+      Alcotest.(check bool) (name "events counted") true
+        (Obs.Counter.total table > 0);
+      List.iter
+        (fun k ->
+          let kn = name (Obs.Trace.name k) in
+          Alcotest.(check int) (kn ^ " count") (Obs.Counter.count sink k)
+            (Obs.Counter.count table k);
+          Alcotest.(check int) (kn ^ " arg sum") (Obs.Counter.arg_sum sink k)
+            (Obs.Counter.arg_sum table k))
+        Obs.Trace.all)
+    Sim.Config.all
+
+(* The monitor reads its EMC statistics through the same table. *)
+let test_emc_stats_match_snapshot () =
+  List.iter
+    (fun setting ->
+      let m =
+        Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~setting ()
+      in
+      ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
+      let mon =
+        Erebor.Sandbox.manager_monitor (Option.get (Sim.Machine.manager m))
+      in
+      let es = Erebor.Monitor.emc_stats mon in
+      let s = Sim.Machine.snapshot m in
+      Alcotest.(check (list int))
+        (Sim.Config.name setting ^ " emc_stats = snapshot")
+        Sim.Stats.
+          [
+            s.emc_mmu; s.emc_cr; s.emc_msr; s.emc_idt; s.emc_smap; s.emc_ghci;
+          ]
+        Erebor.Monitor.[ es.mmu; es.cr; es.msr; es.idt; es.smap; es.ghci ];
+      if Sim.Config.emc_privops setting then
+        Alcotest.(check bool) (Sim.Config.name setting ^ " mmu EMCs seen") true
+          (es.Erebor.Monitor.mmu > 0))
+    (List.filter Sim.Config.has_monitor Sim.Config.all)
+
+(* With no sink attached, emission is the table update alone: it counts
+   the event and allocates nothing. *)
+let test_emit_no_sinks_zero_alloc () =
+  let obs = Obs.Emitter.create () in
+  let view = Obs.Counter.of_emitter obs in
+  let emit i =
+    let kind = if i land 1 = 0 then Obs.Trace.Syscall else Obs.Trace.emc_mmu in
+    Obs.Emitter.emit obs kind ~ts:i ~arg:3
+  in
+  emit 0;
+  let c =
+    Workloads.Bench_gate.zero_alloc_check ~name:"bare emit" ~n:10_000
+      ~unit_:"event" ~what:"emits" emit
+  in
+  Alcotest.(check bool) c.Workloads.Bench_gate.detail true
+    c.Workloads.Bench_gate.ok;
+  Alcotest.(check int) "no sink" 0 (Obs.Emitter.sink_count obs);
+  Alcotest.(check int) "syscalls counted" 5_001
+    (Obs.Counter.count view Obs.Trace.Syscall);
+  Alcotest.(check int) "emc.mmu counted" 5_000
+    (Obs.Counter.count view Obs.Trace.emc_mmu);
+  Alcotest.(check int) "args summed" (3 * 5_000)
+    (Obs.Counter.arg_sum view Obs.Trace.emc_mmu);
+  Obs.Counter.reset view;
+  Alcotest.(check int) "reset on a view zeroes the emitter's table" 0
+    (Obs.Counter.total (Obs.Counter.of_emitter obs))
+
+(* The documented order: [emit] updates the table before it calls any
+   sink, so a sink attached before boot finds every event it is handed
+   already counted (and its argument already summed). *)
+let test_table_counts_before_sinks () =
+  let obs = Obs.Emitter.create () in
+  let view = Obs.Counter.of_emitter obs in
+  let seen = Array.make Obs.Trace.n_kinds 0 in
+  let sums = Array.make Obs.Trace.n_kinds 0 in
+  let lagging = ref 0 in
+  Obs.Emitter.attach obs (fun kind ~ts:_ ~arg ->
+      let i = Obs.Trace.index kind in
+      seen.(i) <- seen.(i) + 1;
+      sums.(i) <- sums.(i) + arg;
+      if
+        Obs.Counter.count view kind <> seen.(i)
+        || Obs.Counter.arg_sum view kind <> sums.(i)
+      then incr lagging);
+  let m =
+    Sim.Machine.create ~obs ~frames:32768 ~cma_frames:4096
+      ~setting:Sim.Config.Erebor_full ()
+  in
+  ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
+  Alcotest.(check bool) "events handed to the sink" true
+    (Array.fold_left ( + ) 0 seen > 0);
+  Alcotest.(check int) "events the table had not yet counted" 0 !lagging
+
 (* Satellite: the new emc_idt snapshot field really counts lidt services
    (machine boot under Erebor programs the IDT through the monitor). *)
 let test_emc_idt_counted () =
@@ -2433,6 +2541,17 @@ let () =
             test_counter_equivalence;
           Alcotest.test_case "emc_idt counted" `Quick test_emc_idt_counted;
           Alcotest.test_case "denial counts exact" `Quick test_denial_counts;
+        ] );
+      ( "bus-table",
+        [
+          Alcotest.test_case "machine counters = pre-boot sink" `Quick
+            test_bus_table_matches_sink;
+          Alcotest.test_case "emc_stats = snapshot" `Quick
+            test_emc_stats_match_snapshot;
+          Alcotest.test_case "bare emit counts, 0 words" `Quick
+            test_emit_no_sinks_zero_alloc;
+          Alcotest.test_case "table counts before sinks" `Quick
+            test_table_counts_before_sinks;
         ] );
       ( "trace",
         [

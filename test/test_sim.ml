@@ -271,6 +271,25 @@ let test_memshare_parallel_rows () =
         p.Workloads.Eval.replicated_frames)
     seq par
 
+(* The machine's statistics live in the bus's own table, so no setting
+   attaches a counter sink; only full Erebor, the one setting whose
+   sessions open request windows, attaches its request tracker. *)
+let test_sink_count_per_setting () =
+  List.iter
+    (fun setting ->
+      let name = Sim.Config.name setting in
+      let full = setting = Sim.Config.Erebor_full in
+      let want = if full then 1 else 0 in
+      let m = Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~setting () in
+      Alcotest.(check int) (name ^ ": sinks after create") want
+        (Obs.Emitter.sink_count (Sim.Machine.obs m));
+      ignore (Sim.Machine.run m (small_spec ~body:echo_body ()));
+      Alcotest.(check int) (name ^ ": sinks after run") want
+        (Obs.Emitter.sink_count (Sim.Machine.obs m));
+      Alcotest.(check int) (name ^ ": requests completed") want
+        (Obs.Request.completed (Sim.Machine.requests m)))
+    Sim.Config.all
+
 let () =
   Alcotest.run "sim"
     [
@@ -287,6 +306,7 @@ let () =
           Alcotest.test_case "init overhead" `Quick test_init_overhead_positive_under_emc;
           Alcotest.test_case "common shared" `Quick test_common_shared_across_runs;
           Alcotest.test_case "create major allocation" `Quick test_create_major_alloc;
+          Alcotest.test_case "sinks per setting" `Quick test_sink_count_per_setting;
         ] );
       ("stats", [ Alcotest.test_case "diff/rates" `Quick test_stats_diff ]);
       ( "runner",
