@@ -17,13 +17,10 @@
                                     #  --tenants narrow the matrix)
      bench/main.exe attrib          # per-domain/per-phase cycle attribution
                                     # (--smoke: first program only, the @ci cut)
-     bench/main.exe slo             # live-SLO gate: seeded stall + clean runs
-                                    # (--smoke: @ci cut; --tenants N >= 2)
      bench/main.exe icode           # decoded-instruction cache microbenchmark
      bench/main.exe check           # regression gate vs committed BENCH_sim.json
                                     # (--from-journal FILE: verify a recording)
      bench/main.exe journal         # flight-recorder gate (--smoke: @ci cut)
-     bench/main.exe agg             # fleet-telemetry gate (--smoke: @ci cut)
      bench/main.exe bechamel        # wall-clock microbenchmarks
    Common flags:
      --jobs N         domain-pool width for machine fan-out
@@ -32,7 +29,7 @@
      --baseline PATH  baseline file for check/journal (default BENCH_sim.json)
      --full           "check" also compares every Fig. 9 row
 
-   The gates (check, density, attrib, slo, journal, agg) build their named
+   The gates (check, density, attrib, journal) build their named
    checks in lib/workloads and report through the one [report_verdict]. *)
 
 module C = Workloads.Cli
@@ -338,47 +335,6 @@ let print_density () =
   report_verdict (Workloads.Density.checks rows)
 
 (* ------------------------------------------------------------------ *)
-(* Live SLO telemetry: seeded degradation + clean-workload silence      *)
-(* ------------------------------------------------------------------ *)
-
-let print_slo ~tenants =
-  header "Live SLO telemetry: seeded mid-run stall, per-tenant attribution";
-  let backend = Option.value !backend_arg ~default:Erebor.Isolation.Pks in
-  let rounds = if !smoke_arg then 16 else 40 in
-  let stall_rounds = if !smoke_arg then 3 else 4 in
-  let r = Workloads.Slo_bench.run ~backend ~tenants ~rounds ~stall_rounds () in
-  Printf.printf "%-10s %-8s %6s %7s %-10s %-10s %s\n" "Tenant" "Seeded"
-    "Reqs" "Alert" "Worst" "Final" "Transitions";
-  List.iter
-    (fun (o : Workloads.Slo_bench.tenant_outcome) ->
-      Printf.printf "%-10s %-8s %6d %7s %-10s %-10s %s\n" o.tname
-        (if o.stalled then "STALL" else "-")
-        o.served
-        (if o.alert_fired then "FIRED" else "-")
-        (Obs.Health.state_name o.worst_state)
-        (Obs.Health.state_name o.final_state)
-        (String.concat " -> "
-           (List.map
-              (fun (_, st) -> Obs.Health.state_name st)
-              o.health_transitions))
-    )
-    r.Workloads.Slo_bench.outcomes;
-  Printf.printf
-    "(%d evaluation ticks; %d alert + %d health transition events; %d audit \
-     records, chain %s)\n"
-    r.Workloads.Slo_bench.evals r.Workloads.Slo_bench.alert_events
-    r.Workloads.Slo_bench.health_events r.Workloads.Slo_bench.audit_records
-    (if r.Workloads.Slo_bench.audit_intact then "intact" else "BROKEN");
-  header "Clean Fig. 9 workloads: SLOs must stay silent";
-  let clean = Workloads.Slo_bench.clean_fig9 ?jobs:!jobs_arg ~smoke:!smoke_arg () in
-  List.iter
-    (fun (program, fired) ->
-      Printf.printf "%-10s %s\n" program
-        (if fired = [] then "silent" else "FIRED " ^ String.concat "," fired))
-    clean;
-  report_verdict (Workloads.Slo_bench.checks r ~clean)
-
-(* ------------------------------------------------------------------ *)
 (* Qualitative tables (1, 2, 7)                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -455,11 +411,10 @@ let bechamel_tests () =
     Test.make ~name:"memshare-2-sandboxes"
       (Staged.stage (fun () -> ignore (Workloads.Eval.memshare ~max_sandboxes:2 ())))
   in
-  (* Telemetry record paths, 1000 records per run: a bare emitter (its
-     built-in per-kind table only, what a machine's statistics cost per
-     event) vs a per-kind sketch family behind an emitter vs one bare
-     sketch vs the full fleet record (sketch + per-tenant sketch +
-     heavy-hitter + exemplar). *)
+  (* Telemetry record paths, 1000 records per run (reported per record):
+     a bare emitter (its built-in per-kind table only, what a machine's
+     statistics cost per event) vs a per-kind sketch family behind an
+     emitter vs one bare sketch. *)
   let bare_obs = Obs.Emitter.create () in
   let emit_test =
     Test.make ~name:"obs-emit-1k"
@@ -489,19 +444,9 @@ let bechamel_tests () =
              Obs.Sketch.record sketch (i land 0xFFFF)
            done))
   in
-  let part = Obs.Agg.part ~machine:"bech" () in
-  let tn = Obs.Agg.tenant part "tenant-0" in
-  let agg_test =
-    Test.make ~name:"obs-agg-record-1k"
-      (Staged.stage (fun () ->
-           for i = 1 to 1000 do
-             Obs.Agg.record part tn Obs.Trace.Req_end
-               ~latency:(i land 0xFFFF) ~trace_id:i ~offset:(i * 64) ~ts:i
-           done))
-  in
   Test.make_grouped ~name:"erebor-eval"
     [ table3_test; table4_test; fig8_test; fig9_test; table6_test; fig10_test;
-      memshare_test; emit_test; family_test; sketch_test; agg_test ]
+      memshare_test; emit_test; family_test; sketch_test ]
 
 let run_bechamel () =
   let open Bechamel in
@@ -521,8 +466,13 @@ let run_bechamel () =
         (name, ns) :: acc)
       results []
   in
+  (* The [-1k] rows time 1000 records per run: print them per record, so
+     sub-nanosecond differences stay visible. *)
   List.iter
-    (fun (name, ns) -> Printf.printf "%-40s %12.3f ms/run\n" name (ns /. 1e6))
+    (fun (name, ns) ->
+      if String.ends_with ~suffix:"-1k" name then
+        Printf.printf "%-40s %12.3f ns/record\n" name (ns /. 1000.0)
+      else Printf.printf "%-40s %12.3f ms/run\n" name (ns /. 1e6))
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
@@ -679,16 +629,6 @@ let run_journal ~baseline () =
   report_verdict (Workloads.Journal_bench.run ~smoke:!smoke_arg ~baseline ())
 
 (* ------------------------------------------------------------------ *)
-(* Fleet-telemetry gate (mergeable sketches / heavy hitters / exemplars) *)
-(* ------------------------------------------------------------------ *)
-
-let run_agg () =
-  header
-    "Fleet-telemetry gate: invisible, order-invariant, allocation-free, \
-     attributable";
-  report_verdict (Workloads.Agg_bench.run ~smoke:!smoke_arg ())
-
-(* ------------------------------------------------------------------ *)
 (* BENCH_sim.json — machine-readable run record for regression diffing *)
 (* ------------------------------------------------------------------ *)
 
@@ -828,8 +768,7 @@ let backend_flag =
 
 let tenants_flag =
   C.flag ~docv:"N" [ "--tenants" ]
-    "Tenant count: one point of the density scaling matrix, or the slo \
-     tenant count (>= 2, default 4)."
+    "Tenant count: one point of the density scaling matrix."
 
 let baseline_flag =
   C.flag ~docv:"PATH" [ "--baseline" ]
@@ -898,10 +837,6 @@ let () =
         ~flags:(exp_flags @ [ smoke_flag; backend_flag; tenants_flag ])
         "Per-backend overhead + sandboxes-per-CVM scaling" (fun _ ->
           print_density ());
-      target "slo"
-        ~flags:(exp_flags @ [ smoke_flag; backend_flag; tenants_flag ])
-        "Live SLO telemetry: seeded degradation + clean-run silence" (fun p ->
-          print_slo ~tenants:(C.int_of p ~min:2 ~default:4 tenants_flag));
       target "ablations" "Design-choice ablations (DESIGN.md)" (fun _ ->
           print_ablations ());
       target "tables-qual" "Qualitative tables (1, 2, 7)" (fun _ ->
@@ -919,9 +854,6 @@ let () =
       target "journal" ~flags:[ smoke_flag; baseline_flag ]
         "Flight-recorder gate: invisible, lossless, allocation-free, \
          diffable" (fun p -> run_journal ~baseline:(baseline_of p) ());
-      target "agg" ~flags:[ smoke_flag ]
-        "Fleet-telemetry gate: mergeable sketches, heavy hitters, \
-         exemplars" (fun _ -> run_agg ());
       target "bechamel" "Wall-clock microbenchmarks of the simulator"
         (fun _ -> run_bechamel ());
     ]

@@ -5,14 +5,10 @@
    Every client request mints a trace context at the channel client; the
    context travels inside the sealed request header, so the collector can
    assemble a cross-machine causal tree (client segment + fleet segment)
-   per request. Every completed request is also recorded into a fleet
-   aggregator part (mergeable quantile sketch + per-tenant heavy hitters +
-   tail exemplars), and the run finishes with the fleet telemetry panel.
-   With --audit FILE the monitor's security decisions are written as a
-   hash-chained log that `erebor_sim audit verify` checks; with
-   --record FILE the fleet machine's event stream is journaled and each
-   exemplar carries the journal frame offset of its request, resolvable
-   offline with `erebor_sim journal topk FILE --offset N`.
+   per request. With --audit FILE the monitor's security decisions are
+   written as a hash-chained log that `erebor_sim audit verify` checks;
+   with --record FILE the fleet machine's event stream is journaled for
+   the offline `erebor_sim journal` subcommands.
 
    Run with:  dune exec examples/fleet.exe -- [--audit FILE] [--trace FILE]
                                               [--record FILE]
@@ -48,8 +44,8 @@ let trace_flag =
 
 let record_flag =
   C.flag ~docv:"FILE" [ "--record" ]
-    "Journal the fleet machine's event stream (flight recorder); fleet \
-     exemplars then carry resolvable journal frame offsets."
+    "Journal the fleet machine's event stream (flight recorder); analyze \
+     it offline with the erebor_sim journal subcommands."
 
 let main p =
   print_endline "Multi-tenant fleet: warm pool + shared model + mitigations";
@@ -66,24 +62,15 @@ let main p =
   let obs_fleet = Obs.Emitter.create () in
   let obs_client = Obs.Emitter.create () in
   (* The journal writer attaches first so it records boot too. *)
-  let journal =
-    match record_file with
-    | None -> None
-    | Some path ->
-        let w =
-          Obs.Journal.Writer.create ~meta:[ ("example", "fleet") ] ~path ()
-        in
-        Obs.Journal.Writer.attach ~machine:"fleet" w obs_fleet;
-        Some w
-  in
+  Option.iter
+    (fun path ->
+      Obs.Journal.Writer.attach ~machine:"fleet"
+        (Obs.Journal.Writer.create ~meta:[ ("example", "fleet") ] ~path ())
+        obs_fleet)
+    record_file;
   let requests = Obs.Request.create () in
   Obs.Request.attach requests ~machine:"fleet" obs_fleet;
   Obs.Request.attach requests ~machine:"client" obs_client;
-  (* The fleet aggregator part: per-tenant latency sketches, (tenant x
-     kind) heavy hitters, tail exemplars. In a real fleet one part lives
-     on every machine and the sealed parts merge order-invariantly. *)
-  let part = Obs.Agg.part ~machine:"fleet" () in
-  ignore (Obs.Agg.attach obs_fleet part);
   (match audit_file with
   | Some _ ->
       Obs.Emitter.set_audit obs_fleet
@@ -134,17 +121,6 @@ let main p =
        handshake, sealed request, fleet-side service, sealed response. *)
     let cx = Obs.Request.mint requests in
     last_trace := cx.Obs.Request.trace_id;
-    (* Each client maps to one of the pool's tenants; the aggregator keys
-       heavy hitters by (tenant x kind). Read the journal frame offset
-       BEFORE serving: the request's own events may seal the open frame. *)
-    let tn =
-      Obs.Agg.tenant part (Printf.sprintf "tenant-%d" (((i - 1) mod 4) + 1))
-    in
-    let frame_off =
-      match journal with
-      | Some w -> Obs.Journal.Writer.offset w
-      | None -> -1
-    in
     let t_start = now () in
     Obs.Emitter.emit obs_client Obs.Trace.Req_begin ~ts:t_start
       ~arg:(Obs.Request.pack cx ~root:true);
@@ -199,8 +175,6 @@ let main p =
     Obs.Emitter.emit obs_client Obs.Trace.Req_end ~ts:t_end
       ~arg:(Obs.Request.pack cx ~root:true);
     let measured = t_end - t_start in
-    Obs.Agg.record part tn Obs.Trace.Req_end ~latency:measured
-      ~trace_id:cx.Obs.Request.trace_id ~offset:frame_off ~ts:t_end;
     (* The collector's root segment must account for exactly the cycles we
        measured end to end — the tree is causal, not decorative. *)
     (match Obs.Request.root_cycles requests ~trace_id:cx.Obs.Request.trace_id with
@@ -256,20 +230,6 @@ let main p =
           Out_channel.output_string oc (Obs.Audit.to_string chain));
       Printf.printf "[fleet] audit log: %d records (chained, finalized) -> %s\n"
         (Obs.Audit.length chain) path
-  | _ -> ());
-
-  (* The fleet telemetry panel: seal this machine's part and render it. In
-     a deployment, every machine's sealed part would be merged here first
-     (byte-identical for any merge order). *)
-  let snap = Obs.Agg.seal part in
-  print_newline ();
-  print_string (Obs.Agg.render snap);
-  (match (record_file, Obs.Agg.exemplar_for snap ~p:0.99) with
-  | Some path, Some e when e.Obs.Exemplar.i_offset >= 0 ->
-      Printf.printf
-        "[fleet] resolve the p99 exemplar offline:\n\
-        \         erebor_sim journal topk %s --offset %d\n"
-        path e.Obs.Exemplar.i_offset
   | _ -> ());
   if !mismatches > 0 then begin
     Printf.eprintf "[fleet] %d request(s) with unaccounted cycles\n" !mismatches;

@@ -7,7 +7,7 @@
     sink, so [Sim.Machine.counters] and the monitor's EMC statistics are
     the same two arrays {!Emitter.emit} updates. {!create}/{!attach} make
     a table of their own, for a scope narrower than the emitter's life
-    (an {!Agg} part, a unit test). *)
+    (a journal replay, a unit test). *)
 
 type t
 

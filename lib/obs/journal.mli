@@ -66,8 +66,8 @@ module Writer : sig
   (** The file offset of the frame that will hold the open segment — the
       [event.off] a reader will report for the next recorded event. Read
       it {e before} recording: the record itself may cross the seal
-      threshold and flush that very frame. Used by {!Exemplar} capture to
-      make a tail request resolvable offline. *)
+      threshold and flush that very frame. Tagging a request with it
+      makes the request's frame resolvable offline. *)
 
   val close : t -> now:int -> unit
   (** Seal the partial segment, write the END frame and close the file.

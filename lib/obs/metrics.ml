@@ -8,19 +8,14 @@ type source = {
   counter : Counter.t option;
   family : Sketch.Family.t option;
   attrib : Attrib.t option;
-  window : Window.t option;
-  sketch : Sketch.t option;
-  exemplar : Exemplar.t option;
 }
 
 type t = { namespace : string; mutable sources : source list (* reversed *) }
 
 let create ?(namespace = "erebor") () = { namespace; sources = [] }
 
-let add t ~label ?counter ?family ?attrib ?window ?sketch ?exemplar () =
-  t.sources <-
-    { label; counter; family; attrib; window; sketch; exemplar }
-    :: t.sources
+let add t ~label ?counter ?family ?attrib () =
+  t.sources <- { label; counter; family; attrib } :: t.sources
 
 let sources t = List.rev t.sources
 
@@ -38,16 +33,29 @@ let escape_label s =
     s;
   Buffer.contents buf
 
-(* Sketches are exposed re-bucketed onto the log2 exemplar bands, so the
-   cumulative [le] lines read like a latency histogram and each line can
-   carry its band's exemplar. A sketch bucket lands in the band of its
+(* Sketches are exposed re-bucketed onto log2 bands, so the cumulative
+   [le] lines read like a latency histogram: band 0 holds 0, band b >= 1
+   holds [2^(b-1), 2^b - 1]. A sketch bucket lands in the band of its
    midpoint estimate. *)
+let n_bands = 63
+
+let band_of v =
+  let b = ref 0 and v = ref (max v 0) in
+  while !v > 0 do
+    incr b;
+    v := !v lsr 1
+  done;
+  !b
+
+let band_lo b = if b <= 1 then b else 1 lsl (b - 1)
+let band_hi b = if b = 0 then 0 else (1 lsl b) - 1
+
 let band_counts sk =
-  let bands = Array.make Exemplar.n_bands 0 in
+  let bands = Array.make n_bands 0 in
   bands.(0) <- Sketch.zeros sk;
   List.iter
     (fun (i, c) ->
-      let b = Exemplar.band_of (Sketch.estimate sk i) in
+      let b = band_of (Sketch.estimate sk i) in
       bands.(b) <- bands.(b) + c)
     (Sketch.buckets sk);
   bands
@@ -59,23 +67,18 @@ let to_prometheus t =
   let buf = Buffer.create 4096 in
   let ns = t.namespace in
   let srcs = sources t in
-  let header ?unit_ name typ help =
+  let header name typ help =
     Printf.bprintf buf "# HELP %s_%s %s\n# TYPE %s_%s %s\n" ns name help ns
-      name typ;
-    (* OpenMetrics: a UNIT line for families whose name carries a unit
-       suffix. *)
-    match unit_ with
-    | None -> ()
-    | Some u -> Printf.bprintf buf "# UNIT %s_%s %s\n" ns name u
+      name typ
   in
-  let family ?unit_ name typ help render =
+  let family name typ help render =
     let started = ref false in
     List.iter
       (fun s ->
         render s (fun line ->
             if not !started then begin
               started := true;
-              header ?unit_ name typ help
+              header name typ help
             end;
             Buffer.add_string buf line))
       srcs
@@ -128,79 +131,6 @@ let to_prometheus t =
             (fun (d, p, cycles) ->
               row (Trace.domain_name d) (Trace.phase_name p) cycles)
             (Attrib.breakdown a));
-  (* Window-scoped series: gauges over the sliding window, not lifetime
-     counters — they describe "now", and age out with the ring. *)
-  family "window_events" "gauge"
-    "Events in the sliding window per trace kind." (fun s out ->
-      match s.window with
-      | None -> ()
-      | Some w ->
-          List.iter
-            (fun kind ->
-              let n = Window.count w kind in
-              if n > 0 then
-                out
-                  (Printf.sprintf
-                     "%s_window_events{source=\"%s\",kind=\"%s\"} %d\n" ns
-                     (escape_label s.label)
-                     (escape_label (Trace.name kind))
-                     n))
-            Trace.all);
-  family "window_rate" "gauge"
-    "Events per virtual second over the sliding window." (fun s out ->
-      match s.window with
-      | None -> ()
-      | Some w ->
-          List.iter
-            (fun kind ->
-              if Window.count w kind > 0 then
-                out
-                  (Printf.sprintf
-                     "%s_window_rate{source=\"%s\",kind=\"%s\"} %.2f\n" ns
-                     (escape_label s.label)
-                     (escape_label (Trace.name kind))
-                     (Window.rate w kind)))
-            Trace.all);
-  family "window_arg" "gauge"
-    "Event-argument quantiles over the sliding window (merge-on-read)."
-    (fun s out ->
-      match s.window with
-      | None -> ()
-      | Some w ->
-          List.iter
-            (fun kind ->
-              if Window.hist_tracked w kind && Window.count w kind > 0 then
-                List.iter
-                  (fun (q, p) ->
-                    out
-                      (Printf.sprintf
-                         "%s_window_arg{source=\"%s\",kind=\"%s\",quantile=\"%s\"} %d\n"
-                         ns (escape_label s.label)
-                         (escape_label (Trace.name kind))
-                         q
-                         (Window.percentile w kind ~p)))
-                  [ ("0.5", 0.50); ("0.95", 0.95); ("0.99", 0.99) ])
-            Trace.all);
-  (* Prometheus histogram lines for one sketch; [suffix] decorates each
-     band's bucket line (OpenMetrics exemplars). *)
-  let histogram out name labels ?(suffix = fun _ -> "") sk =
-    let n = Sketch.count sk in
-    if n > 0 then begin
-      let cum = ref 0 in
-      Array.iteri
-        (fun b c ->
-          if c > 0 then begin
-            cum := !cum + c;
-            out
-              (Printf.sprintf "%s_%s_bucket{%s,le=\"%d\"} %d%s\n" ns name labels
-                 (Exemplar.band_hi b) !cum (suffix b))
-          end)
-        (band_counts sk);
-      out (Printf.sprintf "%s_%s_bucket{%s,le=\"+Inf\"} %d\n" ns name labels n);
-      out (Printf.sprintf "%s_%s_sum{%s} %d\n" ns name labels (Sketch.sum sk));
-      out (Printf.sprintf "%s_%s_count{%s} %d\n" ns name labels n)
-    end
-  in
   family "event_arg" "histogram"
     "Event-argument distribution per kind (log2 exposition bands)."
     (fun s out ->
@@ -209,64 +139,33 @@ let to_prometheus t =
       | Some f ->
           List.iter
             (fun kind ->
-              histogram out "event_arg"
-                (Printf.sprintf "source=\"%s\",kind=\"%s\""
-                   (escape_label s.label)
-                   (escape_label (Trace.name kind)))
-                (Sketch.Family.get f kind))
-            Trace.all);
-  (* Sketch-backed fleet families; each latency bucket line carries its
-     band's OpenMetrics exemplar:
-       ..._bucket{le="1023"} 412 # {trace_id="0x2a",...} 987 55        *)
-  let exemplar_suffix s band =
-    match s.exemplar with
-    | None -> ""
-    | Some ex -> (
-        match Exemplar.best ex ~band with
-        | None -> ""
-        | Some e ->
-            Printf.sprintf
-              " # {trace_id=\"%#x\",machine=\"%s\",offset=\"%d\"} %d %d"
-              e.Exemplar.i_trace_id
-              (escape_label e.Exemplar.i_machine)
-              e.Exemplar.i_offset e.Exemplar.i_latency e.Exemplar.i_ts)
-  in
-  family ~unit_:"cycles" "sketch_latency_cycles" "histogram"
-    "Request-latency distribution from the mergeable quantile sketch \
-     (log2 exposition bands; bucket lines carry OpenMetrics exemplars)."
-    (fun s out ->
-      match s.sketch with
-      | None -> ()
-      | Some sk ->
-          histogram out "sketch_latency_cycles"
-            (Printf.sprintf "source=\"%s\"" (escape_label s.label))
-            ~suffix:(exemplar_suffix s) sk);
-  family ~unit_:"cycles" "sketch_quantile_cycles" "summary"
-    "Request-latency quantiles from the mergeable sketch (relative-error \
-     bounded, merge-order invariant)."
-    (fun s out ->
-      match s.sketch with
-      | None -> ()
-      | Some sk ->
-          let n = Sketch.count sk in
-          if n > 0 then begin
-            let labels =
-              Printf.sprintf "source=\"%s\"" (escape_label s.label)
-            in
-            List.iter
-              (fun (q, p) ->
+              let sk = Sketch.Family.get f kind in
+              let n = Sketch.count sk in
+              if n > 0 then begin
+                let labels =
+                  Printf.sprintf "source=\"%s\",kind=\"%s\""
+                    (escape_label s.label)
+                    (escape_label (Trace.name kind))
+                in
+                let cum = ref 0 in
+                Array.iteri
+                  (fun b c ->
+                    if c > 0 then begin
+                      cum := !cum + c;
+                      out
+                        (Printf.sprintf "%s_event_arg_bucket{%s,le=\"%d\"} %d\n"
+                           ns labels (band_hi b) !cum)
+                    end)
+                  (band_counts sk);
                 out
-                  (Printf.sprintf
-                     "%s_sketch_quantile_cycles{%s,quantile=\"%s\"} %d\n" ns
-                     labels q (Sketch.quantile sk ~p)))
-              [ ("0.5", 0.50); ("0.95", 0.95); ("0.99", 0.99) ];
-            out
-              (Printf.sprintf "%s_sketch_quantile_cycles_sum{%s} %d\n" ns
-                 labels (Sketch.sum sk));
-            out
-              (Printf.sprintf "%s_sketch_quantile_cycles_count{%s} %d\n" ns
-                 labels n)
-          end);
+                  (Printf.sprintf "%s_event_arg_bucket{%s,le=\"+Inf\"} %d\n" ns
+                     labels n);
+                out
+                  (Printf.sprintf "%s_event_arg_sum{%s} %d\n" ns labels
+                     (Sketch.sum sk));
+                out (Printf.sprintf "%s_event_arg_count{%s} %d\n" ns labels n)
+              end)
+            Trace.all);
   (* OpenMetrics requires the exposition to end with an EOF marker. *)
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
@@ -323,7 +222,7 @@ let to_json t =
                     if c > 0 then begin
                       comma first_b;
                       Printf.bprintf buf "{\"lo\":%d,\"hi\":%d,\"count\":%d}"
-                        (Exemplar.band_lo b) (Exemplar.band_hi b) c
+                        (band_lo b) (band_hi b) c
                     end)
                   (band_counts sk);
                 Buffer.add_string buf "]}"
@@ -347,36 +246,6 @@ let to_json t =
                 cycles)
             (Attrib.breakdown a);
           Buffer.add_string buf "]}");
-      (match s.window with
-      | None -> ()
-      | Some w ->
-          Buffer.add_string buf ",\"window\":";
-          Buffer.add_string buf (Window.to_json w ()));
-      (match s.sketch with
-      | None -> ()
-      | Some sk ->
-          Printf.bprintf buf
-            ",\"sketch\":{\"alpha\":%g,\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d}"
-            (Sketch.alpha sk) (Sketch.count sk) (Sketch.sum sk)
-            (Sketch.min_value sk) (Sketch.max_value sk)
-            (Sketch.quantile sk ~p:0.50) (Sketch.quantile sk ~p:0.95)
-            (Sketch.quantile sk ~p:0.99));
-      (match s.exemplar with
-      | None -> ()
-      | Some ex ->
-          Buffer.add_string buf ",\"exemplars\":[";
-          let first = ref true in
-          List.iter
-            (fun (b, (e : Exemplar.item)) ->
-              comma first;
-              Printf.bprintf buf
-                "{\"band_lo\":%d,\"band_hi\":%d,\"latency\":%d,\"trace_id\":%d,\"machine\":\"%s\",\"offset\":%d,\"ts\":%d}"
-                (Exemplar.band_lo b) (Exemplar.band_hi b) e.Exemplar.i_latency
-                e.Exemplar.i_trace_id
-                (Wire.escape_json e.Exemplar.i_machine)
-                e.Exemplar.i_offset e.Exemplar.i_ts)
-            (Exemplar.items ex);
-          Buffer.add_string buf "]");
       Buffer.add_string buf "}")
     (sources t);
   Buffer.add_string buf "]}\n";

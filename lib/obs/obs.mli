@@ -2,18 +2,13 @@
     ({!Emitter}) over the {!Trace} taxonomy, with pluggable sinks — counters
     ({!Counter}), a bounded post-mortem ring ({!Ring}), a Chrome-trace/JSONL
     recorder ({!Chrome}), a cycle-attribution profiler ({!Attrib}) with
-    flamegraph ({!Flame}) and Prometheus/JSON ({!Metrics}) exporters, a request-scoped causal-trace
-    collector ({!Request}), a tamper-evident hash-chained audit log
-    ({!Audit}), and live SLO telemetry — virtual-clock sliding windows
-    ({!Window}), error-budget burn-rate alerts ({!Slo}), per-sandbox health
-    watchdogs ({!Health}) and an ASCII dashboard driver ({!Dash}) — plus an
-    offline flight-recorder stack: a crash-safe binary journal ({!Journal})
-    with query ({!Query}), critical-path ({!Critical}) and run-diff
-    ({!Diff}) engines over recorded runs — and fleet telemetry: mergeable
-    relative-error quantile sketches ({!Sketch}, the one quantile
-    estimator every latency reader uses), heavy-hitter summaries
-    ({!Topk}), tail-latency exemplars ({!Exemplar}) and the
-    order-invariant fleet aggregator ({!Agg}).
+    flamegraph ({!Flame}) and Prometheus/JSON ({!Metrics}) exporters, a
+    request-scoped causal-trace collector ({!Request}), a tamper-evident
+    hash-chained audit log ({!Audit}) and mergeable relative-error quantile
+    sketches ({!Sketch}, the one quantile estimator every latency reader
+    uses) — plus an offline flight-recorder stack: a crash-safe binary
+    journal ({!Journal}) with query ({!Query}), critical-path ({!Critical})
+    and run-diff ({!Diff}) engines over recorded runs.
 
     Emission never advances the virtual clock: observability is free in
     simulated time, so calibrated results are identical with or without
@@ -30,18 +25,11 @@ module Flame = Flame
 module Metrics = Metrics
 module Audit = Audit
 module Request = Request
-module Window = Window
-module Slo = Slo
-module Health = Health
-module Dash = Dash
 module Journal = Journal
 module Query = Query
 module Critical = Critical
 module Diff = Diff
 module Sketch = Sketch
-module Topk = Topk
-module Exemplar = Exemplar
-module Agg = Agg
 
 module Wire = Wire
 (** The varint codec shared by the binary formats above (exposed for its

@@ -132,19 +132,6 @@ let reset t =
   t.min_v <- max_int;
   t.max_v <- min_int
 
-(* Whole buckets above [threshold]'s own bucket: every value in them
-   exceeds it (the index is monotone in the value), so this never
-   over-counts. A collapsed floor bucket may hold any lower value and is
-   skipped. *)
-let count_above t threshold =
-  let first = index_of t threshold + 1 in
-  let first = if t.floor > 0 then max first (t.floor + 1) else first in
-  let n = ref 0 in
-  for i = first to t.hi do
-    n := !n + t.buckets.(i)
-  done;
-  !n
-
 (* Midpoint estimate for bucket [i], within alpha relative error of every
    value the bucket covers (before rounding to int). *)
 let estimate t i =

@@ -6,11 +6,10 @@
     relative error of [alpha] of some value actually recorded (plus at
     most 1 absolute from integer rounding; values below [1 / 2 alpha]
     occupy one bucket per integer and are exact). It is the library's
-    only quantile estimator: request latency ({!Request}), sliding
-    windows ({!Window}), journal queries ({!Query}) and the metrics
-    exposition ({!Metrics}) all read one. Sketches from different
-    machines {!merge} with no accuracy loss, which is what makes fleet
-    p50/p95/p99 well-defined.
+    only quantile estimator: request latency ({!Request}), journal
+    queries ({!Query}) and the metrics exposition ({!Metrics}) all read
+    one. Sketches from different machines {!merge} with no accuracy
+    loss.
 
     Determinism contract: the sketch state is a pure function of the
     multiset of recorded values — record order, merge order and merge
@@ -66,12 +65,6 @@ val quantile : t -> p:float -> int
     clamped to the observed [[min, max]]. The relative-error bound holds
     for non-negative streams (latencies); negative values share the zero
     bucket and are pinned only by the min clamp. *)
-
-val count_above : t -> int -> int
-(** Samples in the buckets lying wholly above the one [threshold] lands
-    in. Never more than the exact count of values [> threshold], and at
-    least the exact count of values [> threshold * gamma + 1], where
-    [gamma = (1 + alpha) / (1 - alpha)] is the bucket width. *)
 
 val merge : into:t -> t -> unit
 (** Fold [src] into [into] (the source is left untouched). Exactly

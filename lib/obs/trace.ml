@@ -146,8 +146,8 @@ type kind =
   | Sandbox_exit         (* arg = sandbox id *)
   | Req_begin            (* arg = packed request ctx, see {!Request} *)
   | Req_end              (* arg = packed request ctx, see {!Request} *)
-  | Slo_alert            (* arg = objective index lsl 1 lor fired *)
-  | Health_transition    (* arg = subject id lsl 2 lor state index *)
+  | Slo_alert            (* reserved: fixes the EJRN1 kind bytes *)
+  | Health_transition    (* reserved, as Slo_alert *)
   | Span_begin of phase
   | Span_end of phase
 

@@ -88,11 +88,9 @@ type kind =
   | Req_begin            (** Request window opens; arg = packed trace ctx
                              ([Request.pack]). *)
   | Req_end              (** Request window closes; arg = packed trace ctx. *)
-  | Slo_alert            (** SLO burn-rate alert transition; arg =
-                             [objective index lsl 1 lor fired] (see {!Slo}). *)
-  | Health_transition    (** Health state change; arg =
-                             [subject id lsl 2 lor state index] (see
-                             {!Health}). *)
+  | Slo_alert            (** Reserved: nothing emits it; kept so journal
+                             kind bytes and {!n_kinds} stay fixed. *)
+  | Health_transition    (** Reserved, as [Slo_alert]. *)
   | Span_begin of phase
   | Span_end of phase
 

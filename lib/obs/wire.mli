@@ -1,7 +1,6 @@
-(** The one varint codec behind every telemetry wire format: the journal
-    (EJRN1), sketches (ESK1), heavy hitters (ETK1), exemplars (EXM1) and
-    fleet snapshots (EAG1) — plus the one JSON string escaper behind every
-    JSON exporter (Chrome traces, metrics, audit records, snapshots).
+(** The one varint codec behind both telemetry wire formats, the journal
+    (EJRN1) and sketches (ESK1) — plus the one JSON string escaper behind
+    every JSON exporter (Chrome traces, metrics, audit records).
 
     Unsigned varints are LEB128 over the full 63-bit pattern of an int (a
     negative int is 9 bytes); signed varints zigzag first, so every int
@@ -11,7 +10,7 @@ exception Bad of string
 (** A malformed encoding: truncation, an over-long varint, a string that
     runs past the input. Raised only by the readers. *)
 
-(** {2 Buffer writer} (the snapshot formats) *)
+(** {2 Buffer writer} (sketches, journal metadata) *)
 
 val add_uvarint : Buffer.t -> int -> unit
 val add_svarint : Buffer.t -> int -> unit

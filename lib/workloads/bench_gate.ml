@@ -631,18 +631,6 @@ let nearest_rank sorted ~p =
 
 (* {2 Shared telemetry-gate checks} *)
 
-let rm path = try Sys.remove path with Sys_error _ -> ()
-
-let anchors_check ~name ~sink ~changed ~instrument ~observed =
-  let plain = render_anchors () in
-  let recorded = render_anchors ~instrument () in
-  let seen = observed () in
-  chk name (plain = recorded)
-    (if plain = recorded then
-       Printf.sprintf "Table 3/4 anchors byte-identical with %s attached (%s)"
-         sink seen
-     else Printf.sprintf "anchor document CHANGED with %s attached" changed)
-
 (* [Gc.minor_words] boxes its own result, so two back-to-back calls differ
    by a small constant; calibrate it out so the check can demand an exact
    zero. *)

@@ -109,8 +109,7 @@ val render_anchors : ?instrument:(Obs.Emitter.t -> unit) -> unit -> string
     rendered document must be byte-identical with or without sinks
     attached (observability never advances the virtual clock). *)
 
-(** {2 Checks of the experiment gates ([bench attrib], [bench density],
-    [bench slo])} *)
+(** {2 Checks of the experiment gates ([bench attrib], [bench density])} *)
 
 val attrib_checks : Eval.attrib_row list -> verdict
 (** One [attrib/<program>:<setting>/conservation] check per row: the
@@ -119,24 +118,13 @@ val attrib_checks : Eval.attrib_row list -> verdict
 
 val nearest_rank : int array -> p:float -> int
 (** The rank-[ceil (p * n)] element of a sorted array, [p] in [\[0, 1\]];
-    [0] for an empty array. The exact percentile oracle of the density and
-    fleet-telemetry gates. *)
+    [0] for an empty array. The exact percentile oracle of the density
+    gate. *)
 
-(** {2 Checks shared by the sink gates ([bench journal], [bench agg])} *)
+(** {2 Checks shared by the gates} *)
 
 val chk :
   ?old_value:string -> ?new_value:string -> string -> bool -> string -> check
-
-val rm : string -> unit
-(** Remove a scratch file, ignoring a missing one. *)
-
-val anchors_check :
-  name:string -> sink:string -> changed:string ->
-  instrument:(Obs.Emitter.t -> unit) -> observed:(unit -> string) -> check
-(** {!render_anchors} bare and with [instrument] on every bench machine
-    must match. [observed ()] runs after both renders and describes what
-    the sinks saw; [sink] / [changed] name the sink in the pass / fail
-    detail. *)
 
 val budget_check :
   string -> what:string -> render:(float -> string) -> tolerance:float ->

@@ -29,28 +29,6 @@ val backend_overhead :
     gate); backends default to [[Pks; Tme_mk]]. Fanned over [jobs]
     domains; rows independent of [jobs]. *)
 
-(** {2 One tenant}
-
-    The tenant provisioning and request body shared by {!scaling} and the
-    live-SLO gate ({!Slo_bench}). *)
-
-type tenant = {
-  sb : Erebor.Sandbox.t;
-  base : int;  (** Start of the tenant's 16 confined pages. *)
-  common_base : int;  (** Start of its 64-page common-instance mapping. *)
-}
-
-val provision : Erebor.Sandbox.manager -> common:string -> int -> tenant
-(** [provision mgr ~common i] creates sandbox [tenant-(i+1)], pins its
-    confined pages, attaches the common instance [common] and seals it with
-    256 bytes of client data. *)
-
-val serve : Sim.Machine.t -> tenant -> round:int -> index:int -> unit
-(** One monitored request for the tenant at position [index] in
-    round [round]: a CR3 switch into it, 4 confined touches, one
-    demand-paged common page (plus a warm re-read), the channel ioctl
-    pair, and a timer tick. Raises [Failure] if a monitored call fails. *)
-
 (** {2 1→256 tenants-per-CVM scaling} *)
 
 type tenant_latency = {

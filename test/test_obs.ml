@@ -7,6 +7,20 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+let journal_path name = Printf.sprintf ".test-journal-%s.ejrn" name
+let rm_journal path = try Sys.remove path with Sys_error _ -> ()
+
+(* The sinks the kept tooling attaches to a machine's bus: attribution,
+   Chrome trace, per-kind sketches, post-mortem ring, a journal writer and
+   a request collector. *)
+let attach_kept_sinks ~journal ~requests obs =
+  ignore (Obs.Attrib.attach obs (Obs.Attrib.create ()));
+  ignore (Obs.Chrome.attach obs (Obs.Chrome.create ()));
+  ignore (Obs.Sketch.Family.attach obs (Obs.Sketch.Family.create ()));
+  ignore (Obs.Ring.attach obs (Obs.Ring.create ~capacity:64));
+  Obs.Journal.Writer.attach ~machine:"sim" journal obs;
+  Obs.Request.attach requests ~machine:"sim" obs
+
 let small_spec ?(sandboxed = true) ?(body = fun _ -> ()) ?(common = None) () =
   {
     Sim.Machine.name = "obs-test";
@@ -249,6 +263,26 @@ let test_emit_no_sinks_zero_alloc () =
   Obs.Counter.reset view;
   Alcotest.(check int) "reset on a view zeroes the emitter's table" 0
     (Obs.Counter.total (Obs.Counter.of_emitter obs))
+
+(* The record path [serve] pays: an emitter with a per-kind sketch family
+   attached allocates nothing per event in steady state. *)
+let test_family_record_zero_alloc () =
+  let obs = Obs.Emitter.create () in
+  let family = Obs.Sketch.Family.attach obs (Obs.Sketch.Family.create ()) in
+  let emit i =
+    Obs.Emitter.emit obs Obs.Trace.Req_end ~ts:i ~arg:(1 + (i land 0xFFFF))
+  in
+  for i = 0 to 0xFFFF do
+    emit i
+  done;
+  let c =
+    Workloads.Bench_gate.zero_alloc_check ~name:"family record" ~n:100_000
+      ~unit_:"event" ~what:"emits into a sketch family" emit
+  in
+  Alcotest.(check bool) c.Workloads.Bench_gate.detail true
+    c.Workloads.Bench_gate.ok;
+  Alcotest.(check int) "every event recorded" (0x10000 + 100_000)
+    (Obs.Sketch.count (Obs.Sketch.Family.get family Obs.Trace.Req_end))
 
 (* The documented order: [emit] updates the table before it calls any
    sink, so a sink attached before boot finds every event it is handed
@@ -543,8 +577,8 @@ let test_attrib_conservation () =
         (Sim.Machine.snapshot m).Sim.Stats.cycles total)
     Sim.Config.all
 
-(* Attaching the full sink complement must not move the clock: the run is
-   cycle-identical to a bare run of the same spec. *)
+(* Attaching the attribution sink complement must not move the clock: the
+   run is cycle-identical to a bare run of the same spec. *)
 let test_attrib_sinks_free () =
   let bare =
     let m =
@@ -1130,450 +1164,78 @@ let test_finalize_on_abnormal_exit () =
   | Error e -> Alcotest.failf "aborted run's chain rejected: %s" e
 
 (* ------------------------------------------------------------------ *)
-(* Sliding windows: rotation, merged percentiles, allocation-free path *)
+(* Kept sink set end to end: clock identity, calibration anchors      *)
 (* ------------------------------------------------------------------ *)
 
-let test_window_rotation () =
-  let w = Obs.Window.create ~width:100 ~buckets:4 () in
-  Obs.Window.record w Obs.Trace.Syscall ~ts:10 ~arg:5;
-  Obs.Window.record w Obs.Trace.Syscall ~ts:50 ~arg:7;
-  Alcotest.(check int) "current bucket" 2
-    (Obs.Window.count w ~windows:1 Obs.Trace.Syscall);
-  Alcotest.(check int) "arg sum" 12
-    (Obs.Window.arg_sum w ~windows:1 Obs.Trace.Syscall);
-  Obs.Window.record w Obs.Trace.Syscall ~ts:150 ~arg:1;
-  Alcotest.(check int) "rotated bucket holds one" 1
-    (Obs.Window.count w ~windows:1 Obs.Trace.Syscall);
-  Alcotest.(check int) "ring holds all three" 3
-    (Obs.Window.count w Obs.Trace.Syscall);
-  Obs.Window.record w Obs.Trace.Syscall ~ts:250 ~arg:1;
-  Obs.Window.record w Obs.Trace.Syscall ~ts:350 ~arg:1;
-  (* The ring is full; the next bucket evicts [0, 100) and its 2 events. *)
-  Obs.Window.record w Obs.Trace.Syscall ~ts:450 ~arg:1;
-  Alcotest.(check int) "oldest bucket aged out" 4
-    (Obs.Window.count w Obs.Trace.Syscall);
-  Alcotest.(check int) "lifetime total unaffected" 6
-    (Obs.Window.total_count w Obs.Trace.Syscall);
-  (* A gap longer than the whole ring clears it in one pass and keeps
-     bucket alignment relative to the old start. *)
-  Obs.Window.record w Obs.Trace.Syscall ~ts:1_000_000 ~arg:1;
-  Alcotest.(check int) "big gap cleared the ring" 1
-    (Obs.Window.count w Obs.Trace.Syscall);
-  Obs.Window.record w Obs.Trace.Syscall ~ts:1_000_050 ~arg:1;
-  Alcotest.(check int) "aligned bucket after the jump" 2
-    (Obs.Window.count w ~windows:1 Obs.Trace.Syscall);
-  Alcotest.(check int) "lifetime total spans the gap" 8
-    (Obs.Window.total_count w Obs.Trace.Syscall);
-  (match Obs.Window.count w ~windows:0 Obs.Trace.Syscall with
-  | _ -> Alcotest.fail "windows = 0 must be rejected"
-  | exception Invalid_argument _ -> ());
-  match Obs.Window.create ~width:0 ~buckets:4 () with
-  | _ -> Alcotest.fail "width = 0 must be rejected"
-  | exception Invalid_argument _ -> ()
-
-let test_window_percentile () =
-  let w =
-    Obs.Window.create ~hist_kinds:[ Obs.Trace.Req_end ] ~width:100 ~buckets:8
-      ()
-  in
-  let pct ?windows p = Obs.Window.percentile w ?windows Obs.Trace.Req_end ~p in
-  Alcotest.(check int) "empty window" 0 (pct 0.5);
-  Obs.Window.record w Obs.Trace.Req_end ~ts:10 ~arg:9;
-  Alcotest.(check int) "single sample p50 exact" 9 (pct 0.5);
-  Alcotest.(check int) "single sample p0" 9 (pct 0.0);
-  Alcotest.(check int) "single sample p100" 9 (pct 1.0);
-  Obs.Window.record w Obs.Trace.Req_end ~ts:150 ~arg:100;
-  Obs.Window.record w Obs.Trace.Req_end ~ts:160 ~arg:100;
-  Obs.Window.record w Obs.Trace.Req_end ~ts:250 ~arg:1000;
-  (* Merged over {9, 100, 100, 1000}: the p50 rank is the second sample,
-     100, and the sketch answers within alpha (+1) of it. *)
-  Alcotest.(check bool) "merge-on-read p50 within alpha of 100" true
-    (abs (pct 0.5 - 100) <= 2);
-  Alcotest.(check int) "merged p0 clamps to observed min" 9 (pct 0.0);
-  Alcotest.(check int) "merged p100 clamps to observed max" 1000 (pct 1.0);
-  Alcotest.(check int) "current bucket only: single sample" 1000
-    (pct ~windows:1 0.5);
-  Alcotest.(check int) "two-bucket merge min" 100 (pct ~windows:2 0.0);
-  Alcotest.(check int) "over is conservative" 1
-    (Obs.Window.over w Obs.Trace.Req_end ~threshold:128);
-  match Obs.Window.percentile w Obs.Trace.Syscall ~p:0.5 with
-  | _ -> Alcotest.fail "untracked kind must be rejected"
-  | exception Invalid_argument _ -> ()
-
-(* The record path must not allocate, rotation and whole-ring jumps
-   included: the live sink rides inside the machine's hot event loop. *)
-let test_window_record_allocation_free () =
-  let w = Obs.Window.create ~width:100 ~buckets:16 () in
-  let t0 = ref 0 in
-  let record i =
-    (* ~3 events per bucket; every 1000th event jumps past the ring *)
-    if i mod 1000 = 0 then t0 := !t0 + 10_000;
-    let ts = !t0 + (i * 37) in
-    Obs.Window.record w Obs.Trace.Req_end ~ts ~arg:(1 + (i land 1023));
-    Obs.Window.record w Obs.Trace.Syscall ~ts ~arg:i
-  in
-  for i = 0 to 9_999 do
-    record i
-  done;
-  t0 := !t0 + 1_000_000;
-  let c =
-    Workloads.Bench_gate.zero_alloc_check ~name:"window" ~n:10_000
-      ~unit_:"event" ~what:"records" record
-  in
-  Alcotest.(check bool) c.Workloads.Bench_gate.detail true
-    c.Workloads.Bench_gate.ok
-
-(* ------------------------------------------------------------------ *)
-(* SLO burn-rate alerts                                                *)
-(* ------------------------------------------------------------------ *)
-
-let slo_latency_objective () =
-  Obs.Slo.objective ~name:"lat"
-    ~condition:
-      (Obs.Slo.Latency_above { kind = Obs.Trace.Req_end; threshold = 1000 })
-    ~budget:0.01 ()
-
-let test_slo_fire_and_clear () =
-  let obs = Obs.Emitter.create () in
-  let counter = Obs.Counter.attach obs (Obs.Counter.create ()) in
-  let w =
-    Obs.Window.create ~hist_kinds:[ Obs.Trace.Req_end ] ~width:100 ~buckets:64
-      ()
-  in
-  let slo =
-    Obs.Slo.create ~emit:obs ~fast_windows:5 ~slow_windows:30 ~window:w
-      ~objectives:[ slo_latency_objective () ] ()
-  in
-  (* Healthy traffic: 20 fast requests, one per 50 cycles. *)
-  for i = 1 to 20 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(i * 50) ~arg:10
-  done;
-  Obs.Slo.evaluate slo ~now:1000;
-  Alcotest.(check int) "clean traffic: nothing firing" 0
-    (List.length (Obs.Slo.firing slo));
-  (* Burst of slow requests: both the fast and the slow window burn far
-     past 10x the 1% budget. *)
-  for i = 1 to 5 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(1000 + (i * 10)) ~arg:5000
-  done;
-  Obs.Slo.evaluate slo ~now:1050;
-  Alcotest.(check int) "burst fires the alert" 1
-    (List.length (Obs.Slo.firing slo));
-  Alcotest.(check bool) "fired_ever" true (Obs.Slo.fired_ever slo ~name:"lat");
-  (* Recovery traffic pushes the bad samples out of the fast window, but
-     the slow window still burns: hysteresis keeps the alert up. *)
-  for i = 0 to 10 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(1100 + (i * 50)) ~arg:10
-  done;
-  Obs.Slo.evaluate slo ~now:1600;
-  Alcotest.(check int) "slow burn holds the alert up" 1
-    (List.length (Obs.Slo.firing slo));
-  (* Once both burns drop below clear_burn, it still takes clear_evals
-     consecutive evaluations to clear. *)
-  Obs.Slo.evaluate slo ~now:20_000;
-  Obs.Slo.evaluate slo ~now:20_100;
-  Alcotest.(check int) "two clean evals: still firing" 1
-    (List.length (Obs.Slo.firing slo));
-  Obs.Slo.evaluate slo ~now:20_200;
-  Alcotest.(check int) "third clean eval clears" 0
-    (List.length (Obs.Slo.firing slo));
-  Alcotest.(check int) "evals counted" 6 (Obs.Slo.evals slo);
-  (match Obs.Slo.transitions slo with
-  | [ (1050, _, true); (20_200, _, false) ] -> ()
-  | ts -> Alcotest.failf "unexpected transitions (%d)" (List.length ts));
-  Alcotest.(check int) "one Slo_alert event per transition" 2
-    (Obs.Counter.count counter Obs.Trace.Slo_alert);
-  (* Construction guards. *)
-  (match
-     Obs.Slo.objective ~name:"bad"
-       ~condition:(Obs.Slo.Ratio { bad = Obs.Trace.Mmu_deny; total = Obs.Trace.Emc_entry })
-       ~budget:0.0 ()
-   with
-  | _ -> Alcotest.fail "zero budget must be rejected"
-  | exception Invalid_argument _ -> ());
-  match
-    Obs.Slo.create ~fast_windows:8 ~slow_windows:4 ~window:w ~objectives:[] ()
-  with
-  | _ -> Alcotest.fail "fast > slow must be rejected"
-  | exception Invalid_argument _ -> ()
-
-(* A burst old enough to have left the fast window must not fire, however
-   hard the slow window burns: firing needs BOTH windows over threshold. *)
-let test_slo_needs_both_windows () =
-  let w =
-    Obs.Window.create ~hist_kinds:[ Obs.Trace.Req_end ] ~width:100 ~buckets:64
-      ()
-  in
-  let slo =
-    Obs.Slo.create ~fast_windows:5 ~slow_windows:30 ~window:w
-      ~objectives:[ slo_latency_objective () ] ()
-  in
-  for i = 1 to 5 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(i * 10) ~arg:5000
-  done;
-  for i = 0 to 8 do
-    Obs.Window.record w Obs.Trace.Req_end ~ts:(600 + (i * 50)) ~arg:10
-  done;
-  Obs.Slo.evaluate slo ~now:1050;
-  match Obs.Slo.statuses slo with
-  | [ s ] ->
-      Alcotest.(check bool) "slow window burns" true
-        (s.Obs.Slo.slow_burn >= 10.0);
-      Alcotest.(check bool) "fast window is clean" true
-        (s.Obs.Slo.fast_burn < 1.0);
-      Alcotest.(check bool) "no fire on slow burn alone" false
-        s.Obs.Slo.firing
-  | ss -> Alcotest.failf "expected 1 status, got %d" (List.length ss)
-
-(* ------------------------------------------------------------------ *)
-(* Health watchdogs                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let tight_rules =
-  {
-    Obs.Health.stall_cycles = 1000;
-    deadline_cycles = 5000;
-    denial_spike = 3;
-    degrade_after = 2;
-    unhealthy_after = 2;
-    recover_after = 2;
-  }
-
-let test_health_stall_ladder () =
-  let obs = Obs.Emitter.create () in
-  let counter = Obs.Counter.attach obs (Obs.Counter.create ()) in
-  let ring = Obs.Ring.attach obs (Obs.Ring.create ~capacity:32) in
-  let chain = Obs.Audit.create ~key:audit_test_key in
-  Obs.Emitter.set_audit obs (Some chain);
-  let h = Obs.Health.create ~emit:obs ~rules:tight_rules () in
-  let s = Obs.Health.register h ~name:"t0" ~now:0 in
-  Alcotest.(check string) "initially healthy" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  (* A request goes in flight and the subject falls silent: the EMC-stall
-     watchdog scores it bad once [stall_cycles] pass without a call. *)
-  Obs.Health.begin_request s ~now:0;
-  Obs.Health.note_emc s ~now:0;
-  Obs.Health.check h ~now:500;
-  Alcotest.(check string) "under the stall threshold" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.check h ~now:1600;
-  Alcotest.(check string) "one bad check is not enough" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.check h ~now:1700;
-  Alcotest.(check string) "degrade_after bad checks demote" "degraded"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.check h ~now:1800;
-  Obs.Health.check h ~now:1900;
-  Alcotest.(check string) "unhealthy_after more demote again" "unhealthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  (* The request completes inside its deadline: clean checks walk the
-     subject back up one level per recover_after streak. *)
-  Obs.Health.note_emc s ~now:2000;
-  Obs.Health.end_request h s ~now:2000 ~latency:2000;
-  Obs.Health.check h ~now:2100;
-  Obs.Health.check h ~now:2200;
-  Alcotest.(check string) "recovery steps one level" "degraded"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.check h ~now:2300;
-  Obs.Health.check h ~now:2400;
-  Alcotest.(check string) "full recovery" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  (match Obs.Health.transitions_of h s with
-  | [ (1700, Obs.Health.Degraded); (1900, Obs.Health.Unhealthy);
-      (2200, Obs.Health.Degraded); (2400, Obs.Health.Healthy) ] -> ()
-  | ts -> Alcotest.failf "unexpected transition list (%d)" (List.length ts));
-  Alcotest.(check int) "one event per transition" 4
-    (Obs.Counter.count counter Obs.Trace.Health_transition);
-  (* Events pack (id lsl 2 lor state index); subject 0 -> bare indices. *)
-  Alcotest.(check (list int)) "packed state indices"
-    [ 1; 2; 1; 0 ]
-    (List.filter_map
-       (fun e ->
-         if e.Obs.Trace.kind = Obs.Trace.Health_transition then
-           Some e.Obs.Trace.arg
-         else None)
-       (Obs.Ring.to_list ring));
-  (* Transitions land on the audit rail and the chain verifies offline. *)
-  Obs.Emitter.finalize obs ~now:2400;
-  Alcotest.(check bool) "audit rail carries health records" true
-    (contains ~sub:"health" (Obs.Audit.to_string chain));
-  match
-    Obs.Audit.verify_string ~key:audit_test_key (Obs.Audit.to_string chain)
-  with
-  | Ok n ->
-      Alcotest.(check bool) "all transitions on the chain" true (n >= 4)
-  | Error e -> Alcotest.failf "health audit chain rejected: %s" e
-
-let test_health_overrun_and_spike () =
-  let h = Obs.Health.create ~rules:tight_rules () in
-  let s = Obs.Health.register h ~name:"t1" ~now:0 in
-  (* Two consecutive completed-request deadline overruns demote. *)
-  Obs.Health.begin_request s ~now:0;
-  Obs.Health.note_emc s ~now:5900;
-  Obs.Health.end_request h s ~now:6000 ~latency:6000;
-  Obs.Health.check h ~now:6100;
-  Obs.Health.begin_request s ~now:6100;
-  Obs.Health.note_emc s ~now:12_400;
-  Obs.Health.end_request h s ~now:12_500 ~latency:6400;
-  Obs.Health.check h ~now:12_600;
-  Alcotest.(check string) "overruns demote" "degraded"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Alcotest.(check int) "overruns counted" 2 (Obs.Health.total_overruns s);
-  Alcotest.(check int) "requests counted" 2 (Obs.Health.requests s);
-  Obs.Health.check h ~now:12_700;
-  Obs.Health.check h ~now:12_800;
-  Alcotest.(check string) "recovered" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  (* A denial spike (>= denial_spike since the last check) scores bad;
-     a sub-threshold trickle does not. *)
-  for _ = 1 to 3 do Obs.Health.note_denial s done;
-  Obs.Health.check h ~now:13_000;
-  for _ = 1 to 3 do Obs.Health.note_denial s done;
-  Obs.Health.check h ~now:13_100;
-  Alcotest.(check string) "denial spikes demote" "degraded"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Obs.Health.note_denial s;
-  Obs.Health.note_denial s;
-  Obs.Health.check h ~now:13_200;
-  Obs.Health.check h ~now:13_300;
-  Alcotest.(check string) "trickle under the spike recovers" "healthy"
-    (Obs.Health.state_name (Obs.Health.state s));
-  Alcotest.(check int) "denials counted" 8 (Obs.Health.total_denials s)
-
-(* ------------------------------------------------------------------ *)
-(* Live telemetry end to end: clock identity, anchors, kill-mid-run    *)
-(* ------------------------------------------------------------------ *)
-
-let live_objectives () =
-  [
-    Obs.Slo.objective ~name:"emc-latency"
-      ~condition:
-        (Obs.Slo.Latency_above { kind = Obs.Trace.Emc_entry; threshold = 65536 })
-      ~budget:0.02 ();
-    Obs.Slo.objective ~name:"audit-denials"
-      ~condition:
-        (Obs.Slo.Ratio { bad = Obs.Trace.Mmu_deny; total = Obs.Trace.Emc_entry })
-      ~budget:0.02 ();
-  ]
-
-(* Attaching the whole live-telemetry complement (window, SLO evaluator,
-   health watchdog, dashboard) must leave the run cycle-identical to a
-   bare one: observability never advances the virtual clock. *)
+(* Attaching the whole kept sink set (attribution, Chrome, sketch family,
+   ring, journal, request tracking) must not move the clock: a rich synthetic
+   body and the drugbank Fig. 9 program under full Erebor run cycle- and
+   statistics-identical to bare runs of the same spec. *)
 let test_live_sinks_clock_free () =
-  let bare =
+  let run ?frames ?cma_frames ~observed spec =
+    let path = journal_path "sinks-free" in
+    let obs =
+      if not observed then None
+      else begin
+        let obs = Obs.Emitter.create () in
+        attach_kept_sinks
+          ~journal:(Obs.Journal.Writer.create ~path ())
+          ~requests:(Obs.Request.create ()) obs;
+        Some obs
+      end
+    in
     let m =
-      Sim.Machine.create ~frames:32768 ~cma_frames:4096
+      Sim.Machine.create ?frames ?cma_frames ?obs
         ~setting:Sim.Config.Erebor_full ()
     in
-    ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
-    Hw.Cycles.now (Sim.Machine.clock m)
+    let r = Sim.Machine.run m spec in
+    let clock = Hw.Cycles.now (Sim.Machine.clock m) in
+    Option.iter (fun obs -> Obs.Emitter.finalize obs ~now:clock) obs;
+    rm_journal path;
+    (r, clock, Sim.Machine.snapshot m)
   in
-  let live =
-    let obs = Obs.Emitter.create () in
-    let window = Obs.Window.create ~width:1_000_000 ~buckets:64 () in
-    let slo =
-      Obs.Slo.create ~emit:obs ~window ~objectives:(live_objectives ()) ()
+  let rich observed =
+    let _, clock, _ =
+      run ~frames:32768 ~cma_frames:4096 ~observed
+        (small_spec ~body:rich_body ())
     in
-    let health = Obs.Health.create ~emit:obs () in
-    ignore (Obs.Window.attach obs window);
-    let m =
-      Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~obs
-        ~setting:Sim.Config.Erebor_full ()
-    in
-    let subject =
-      Obs.Health.register health ~name:"obs-test"
-        ~now:(Hw.Cycles.now (Sim.Machine.clock m))
-    in
-    Obs.Health.watch health subject obs;
-    ignore
-      (Obs.Dash.attach obs
-         (Obs.Dash.create ~slo ~health ~refresh_cycles:500_000 ~window ()));
-    ignore (Sim.Machine.run m (small_spec ~body:rich_body ()));
-    Hw.Cycles.now (Sim.Machine.clock m)
+    clock
   in
-  Alcotest.(check int) "live sinks never advance the clock" bare live
+  Alcotest.(check int) "live sinks never advance the clock" (rich false)
+    (rich true);
+  let drugbank = List.assoc "drugbank" Workloads.Eval.all_programs in
+  let r0, c0, s0 = run ~observed:false (drugbank ()) in
+  let r1, c1, s1 = run ~observed:true (drugbank ()) in
+  Alcotest.(check int) "fig9 drugbank: init cycles" r0.Sim.Machine.init_cycles
+    r1.Sim.Machine.init_cycles;
+  Alcotest.(check int) "fig9 drugbank: run cycles" r0.Sim.Machine.run_cycles
+    r1.Sim.Machine.run_cycles;
+  Alcotest.(check int) "fig9 drugbank: clock" c0 c1;
+  Alcotest.(check bool) "fig9 drugbank: snapshot identical" true (s0 = s1)
 
 (* The regression-gate anchors (Tables 3/4) must render byte-identically
-   whether or not live telemetry is attached to the bench machines. *)
+   whether or not the kept sink set is attached to the bench machines. *)
 let test_anchors_identical_under_telemetry () =
   let base = Workloads.Bench_gate.render_anchors () in
+  let path = journal_path "anchors" in
+  let journal = Obs.Journal.Writer.create ~path () in
+  let requests = Obs.Request.create () in
   let instrumented =
     Workloads.Bench_gate.render_anchors
-      ~instrument:(fun obs ->
-        let window = Obs.Window.create ~width:1_000_000 ~buckets:32 () in
-        ignore (Obs.Window.attach obs window);
-        ignore
-          (Obs.Dash.attach obs
-             (Obs.Dash.create ~refresh_cycles:1_000_000 ~window ())))
+      ~instrument:(attach_kept_sinks ~journal ~requests)
       ()
   in
-  Alcotest.(check string) "anchors byte-identical under live telemetry" base
+  Obs.Journal.Writer.close journal ~now:0;
+  rm_journal path;
+  Alcotest.(check bool) "bench machines were journaled" true
+    (Obs.Journal.Writer.events journal > 0);
+  Alcotest.(check string) "anchors byte-identical under telemetry" base
     instrumented
-
-(* Kill-mid-run coverage for the dashboard snapshot: the emitter finalizer
-   must leave a complete, parseable snapshot even when the body raises. *)
-let test_dash_snapshot_abnormal_exit () =
-  let obs = Obs.Emitter.create () in
-  let window = Obs.Window.create ~width:100_000 ~buckets:64 () in
-  let slo =
-    Obs.Slo.create ~emit:obs ~window ~objectives:(live_objectives ()) ()
-  in
-  let health = Obs.Health.create ~emit:obs () in
-  ignore (Obs.Window.attach obs window);
-  let m =
-    Sim.Machine.create ~frames:32768 ~cma_frames:4096 ~obs
-      ~setting:Sim.Config.Erebor_full ()
-  in
-  let subject =
-    Obs.Health.register health ~name:"obs-test"
-      ~now:(Hw.Cycles.now (Sim.Machine.clock m))
-  in
-  Obs.Health.watch health subject obs;
-  let dash =
-    Obs.Dash.create ~label:"abnormal" ~slo ~health ~refresh_cycles:100_000
-      ~window ()
-  in
-  ignore (Obs.Dash.attach obs dash);
-  let snapshot = ref "" in
-  Obs.Emitter.add_finalizer obs (fun ~now ->
-      snapshot := Obs.Dash.snapshot_json dash ~now);
-  let boom (ops : Sim.Machine.ops) =
-    ops.Sim.Machine.compute 10_000_000;
-    raise Exit
-  in
-  (match Sim.Machine.run m (small_spec ~body:boom ()) with
-  | _ -> Alcotest.fail "expected the body to raise"
-  | exception Exit -> ());
-  let now = Hw.Cycles.now (Sim.Machine.clock m) in
-  Obs.Emitter.finalize obs ~now;
-  Alcotest.(check bool) "dash refreshed before the kill" true
-    (Obs.Dash.refreshes dash > 0);
-  Alcotest.(check bool) "finalizer wrote a snapshot" true (!snapshot <> "");
-  let module J = Workloads.Bench_gate.Json in
-  match J.parse !snapshot with
-  | Error e -> Alcotest.failf "snapshot does not parse: %s" e
-  | Ok doc ->
-      let str field =
-        match J.member field doc with
-        | Some (J.Str s) -> s
-        | _ -> Alcotest.failf "snapshot missing %S" field
-      in
-      Alcotest.(check string) "schema" "erebor-dash/1" (str "schema");
-      Alcotest.(check string) "label" "abnormal" (str "label");
-      List.iter
-        (fun field ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s section present" field)
-            true
-            (J.member field doc <> None))
-        [ "ts"; "window"; "slo"; "health"; "refreshes" ]
 
 (* ------------------------------------------------------------------ *)
 (* Journal: flight-recorder round trips, corruption, offline engines   *)
 (* ------------------------------------------------------------------ *)
 
-let journal_path name = Printf.sprintf ".test-journal-%s.ejrn" name
-let rm_journal path = try Sys.remove path with Sys_error _ -> ()
 
 (* Write a two-machine event list [(stream01, kind, ts, arg); ...] and
    finalize; returns nothing (read it back through the public reader). *)
@@ -1911,7 +1573,7 @@ let test_journal_diff () =
   rm_journal path_b
 
 (* ------------------------------------------------------------------ *)
-(* Fleet telemetry: sketches, heavy hitters, exemplars, aggregator     *)
+(* Quantile sketches: accuracy, edges, merge laws; the shared codec    *)
 (* ------------------------------------------------------------------ *)
 
 (* The exact order statistic [quantile] targets: rank ceil(p * n),
@@ -2037,48 +1699,6 @@ let test_request_query_vs_oracle () =
   | Ok (rows, _) -> Alcotest.failf "expected one row, got %d" (List.length rows));
   rm_journal path
 
-(* Window reads against one sketch of the same samples: [percentile] over
-   the last N windows is exactly that sketch's quantile (merging is
-   exact), and [over] never exceeds the exact count above the threshold
-   while counting everything above threshold * gamma + 1 (one bucket). *)
-let test_window_vs_sketch () =
-  let rand = lcg 27182 in
-  let kind = Obs.Trace.Emc_entry in
-  let w = Obs.Window.create ~hist_kinds:[ kind ] ~width:1000 ~buckets:8 () in
-  (* 4000 events 7 cycles apart: 28 buckets through an 8-slot ring *)
-  let samples = List.init 4000 (fun i -> (i * 7, 1 + rand 200_000)) in
-  List.iter (fun (ts, v) -> Obs.Window.record w kind ~ts ~arg:v) samples;
-  let alpha = Obs.Sketch.default_alpha in
-  let gamma = (1.0 +. alpha) /. (1.0 -. alpha) in
-  for n = 1 to 8 do
-    (* the current bucket is [27000, 28000) *)
-    let span =
-      List.filter_map
-        (fun (ts, v) -> if ts >= 28_000 - (n * 1000) then Some v else None)
-        samples
-    in
-    let one = sketch_of span in
-    List.iter
-      (fun p ->
-        Alcotest.(check int)
-          (Printf.sprintf "windows=%d p=%.2f" n p)
-          (Obs.Sketch.quantile one ~p)
-          (Obs.Window.percentile w ~windows:n kind ~p))
-      [ 0.0; 0.5; 0.9; 0.95; 0.99; 1.0 ];
-    List.iter
-      (fun threshold ->
-        let above t = List.length (List.filter (fun v -> v > t) span) in
-        let over = Obs.Window.over w ~windows:n kind ~threshold in
-        let hi = above threshold
-        and lo =
-          above (int_of_float (float_of_int threshold *. gamma) + 1)
-        in
-        if over > hi || over < lo then
-          Alcotest.failf "windows=%d threshold=%d: over %d outside [%d, %d]" n
-            threshold over lo hi)
-      [ 0; 1; 50; 1000; 65_536; 100_000; 199_000; 250_000 ]
-  done
-
 (* The one varint codec: known-answer bytes pin the pre-existing ESK1 /
    EJRN1 encoding, and values whose zigzag is negative (|v| >= 2^61,
    min_int) now serialize instead of raising. *)
@@ -2123,8 +1743,6 @@ let test_wire_extremes () =
   in
   Alcotest.(check bool) "negative sketch capacity rejected" true
     (Result.is_error (Obs.Sketch.deserialize (hostile esk1 [ -1 ])));
-  Alcotest.(check bool) "negative key length rejected" true
-    (Result.is_error (Obs.Topk.deserialize (hostile "ETK1" [ 0; 1; -1 ])));
   let path = journal_path "extremes" in
   let evs =
     [
@@ -2251,180 +1869,8 @@ let prop_sketch_merge_canonical =
       | Ok s -> Obs.Sketch.serialize s = reference
       | Error _ -> false)
 
-(* qcheck: space-saving guarantees. For any stream and a deliberately
-   tiny table: tracked keys obey lower <= exact <= upper, untracked keys
-   have exact <= floor_total, and merged summaries are byte-identical
-   for any merge order. *)
-let prop_topk_bounds =
-  QCheck.Test.make ~name:"topk error bounds + merge invariance" ~count:80
-    QCheck.(list_of_size Gen.(0 -- 240) (int_bound 11))
-    (fun ids ->
-      (* Skew the alphabet so some keys genuinely dominate. *)
-      let keys = List.map (fun i -> Printf.sprintf "k%d" (i * i / 24)) ids in
-      let exact = Hashtbl.create 16 in
-      List.iter
-        (fun k ->
-          Hashtbl.replace exact k
-            (1 + try Hashtbl.find exact k with Not_found -> 0))
-        keys;
-      let exact_count k = try Hashtbl.find exact k with Not_found -> 0 in
-      (* Three machines see interleaved thirds of the stream. *)
-      let parts = Array.init 3 (fun _ -> Obs.Topk.create ~capacity:4 ()) in
-      List.iteri
-        (fun i k -> Obs.Topk.observe parts.(i mod 3) ~key:k ~weight:1)
-        keys;
-      let sums = Array.to_list (Array.map Obs.Topk.seal parts) in
-      let merged =
-        List.fold_left Obs.Topk.merge_summaries Obs.Topk.empty_summary sums
-      in
-      let merged_rev =
-        List.fold_left Obs.Topk.merge_summaries Obs.Topk.empty_summary
-          (List.rev sums)
-      in
-      let bounds_ok =
-        List.for_all
-          (fun (r : Obs.Topk.ranked) ->
-            let e = exact_count r.Obs.Topk.rkey in
-            r.Obs.Topk.lower <= e && e <= r.Obs.Topk.upper)
-          (Obs.Topk.top merged)
-      in
-      let tracked =
-        List.map (fun (r : Obs.Topk.ranked) -> r.Obs.Topk.rkey)
-          (Obs.Topk.top merged)
-      in
-      let absent_ok =
-        Hashtbl.fold
-          (fun k c ok ->
-            ok && (List.mem k tracked || c <= Obs.Topk.floor_total merged))
-          exact true
-      in
-      bounds_ok && absent_ok
-      && Obs.Topk.serialize merged = Obs.Topk.serialize merged_rev
-      &&
-      match Obs.Topk.deserialize (Obs.Topk.serialize merged) with
-      | Ok s -> Obs.Topk.serialize s = Obs.Topk.serialize merged
-      | Error _ -> false)
-
-let test_exemplar_reservoir () =
-  let mk l =
-    let t = Obs.Exemplar.create () in
-    List.iter
-      (fun (lat, id, m, off, ts) ->
-        Obs.Exemplar.record t ~latency:lat ~trace_id:id ~machine:m ~offset:off
-          ~ts)
-      l;
-    t
-  in
-  let a = mk [ (100, 1, "m0", 10, 5); (900, 2, "m0", 20, 6) ] in
-  let b = mk [ (1000, 3, "m1", 30, 7); (80, 4, "m1", 40, 8) ] in
-  (* 900 and 1000 share band 10; the slower one wins any merge order. *)
-  let m1 = Obs.Exemplar.create () in
-  Obs.Exemplar.merge ~into:m1 a;
-  Obs.Exemplar.merge ~into:m1 b;
-  let m2 = Obs.Exemplar.create () in
-  Obs.Exemplar.merge ~into:m2 b;
-  Obs.Exemplar.merge ~into:m2 a;
-  Alcotest.(check string) "merge order invariant"
-    (Obs.Exemplar.serialize m1) (Obs.Exemplar.serialize m2);
-  (match Obs.Exemplar.best m1 ~band:(Obs.Exemplar.band_of 1000) with
-  | Some e ->
-      Alcotest.(check int) "slowest wins the band" 3 e.Obs.Exemplar.i_trace_id;
-      Alcotest.(check string) "machine travels" "m1" e.Obs.Exemplar.i_machine
-  | None -> Alcotest.fail "band empty after merge");
-  (* for_value falls back to the nearest occupied band. *)
-  (match Obs.Exemplar.for_value m1 500 with
-  | Some e -> Alcotest.(check int) "nearest band below" 100 e.Obs.Exemplar.i_latency
-  | None -> Alcotest.fail "for_value found nothing");
-  match Obs.Exemplar.deserialize (Obs.Exemplar.serialize m1) with
-  | Ok r ->
-      Alcotest.(check string) "roundtrip" (Obs.Exemplar.serialize m1)
-        (Obs.Exemplar.serialize r)
-  | Error e -> Alcotest.failf "roundtrip: %s" e
-
-(* A seeded tail spike in one tenant must be attributable from the merged
-   snapshot alone: Topk ranks it first and the p99 exemplar carries the
-   spike's trace id — for every merge order. *)
-let test_agg_spike_attribution () =
-  let mk_part m = Obs.Agg.part ~machine:m () in
-  let parts = [| mk_part "m0"; mk_part "m1"; mk_part "m2" |] in
-  let rand = lcg 1357924680 in
-  for i = 0 to 899 do
-    let p = parts.(i mod 3) in
-    let alice = Obs.Agg.tenant p "alice" in
-    Obs.Agg.record p alice Obs.Trace.Req_end ~latency:(500 + rand 200)
-      ~trace_id:i ~offset:(-1) ~ts:i
-  done;
-  (* bob's tail spikes: 40 of 2400 requests (> 1% of the 3300-request
-     fleet) at 9M cycles, so the fleet p99 lands in the spike band. The
-     seeded request i = 0 wins the exemplar tie-break (equal latency,
-     lowest trace id) and carries a journal offset. *)
-  for i = 0 to 2399 do
-    let p = parts.(i mod 3) in
-    let bob = Obs.Agg.tenant p "bob" in
-    let spiked = i mod 60 = 0 in
-    Obs.Agg.record p bob Obs.Trace.Req_end
-      ~latency:(if spiked then 9_000_000 else 600 + rand 200)
-      ~trace_id:(10_000 + i)
-      ~offset:(if i = 0 then 4242 else -1)
-      ~ts:(1000 + i)
-  done;
-  let sealed = Array.to_list (Array.map Obs.Agg.seal parts) in
-  let snap = Obs.Agg.merge_all sealed in
-  let perm = Obs.Agg.merge_all (List.rev sealed) in
-  Alcotest.(check string) "merge order byte-identical"
-    (Obs.Agg.serialize snap) (Obs.Agg.serialize perm);
-  Alcotest.(check string) "render deterministic" (Obs.Agg.render snap)
-    (Obs.Agg.render perm);
-  (match Obs.Agg.top ~n:1 snap with
-  | [ r ] ->
-      Alcotest.(check string) "spiked tenant ranks first" "bob/req.end"
-        r.Obs.Topk.rkey
-  | _ -> Alcotest.fail "no heavy hitter");
-  (match Obs.Agg.exemplar_for snap ~p:0.99 with
-  | Some e ->
-      Alcotest.(check int) "p99 exemplar is the spike" 10_000
-        e.Obs.Exemplar.i_trace_id;
-      Alcotest.(check int) "journal offset travels" 4242
-        e.Obs.Exemplar.i_offset;
-      Alcotest.(check string) "machine travels" "m0" e.Obs.Exemplar.i_machine
-  | None -> Alcotest.fail "no p99 exemplar");
-  Alcotest.(check (list string)) "machines sorted" [ "m0"; "m1"; "m2" ]
-    (Obs.Agg.machines snap);
-  Alcotest.(check int) "request total" 3300 (Obs.Agg.requests snap);
-  (match Obs.Agg.deserialize (Obs.Agg.serialize snap) with
-  | Ok r ->
-      Alcotest.(check string) "snapshot roundtrip" (Obs.Agg.serialize snap)
-        (Obs.Agg.serialize r)
-  | Error e -> Alcotest.failf "agg roundtrip: %s" e);
-  let panel = Obs.Agg.render snap in
-  Alcotest.(check bool) "panel lists tenants" true
-    (contains ~sub:"alice" panel && contains ~sub:"bob" panel);
-  Alcotest.(check bool) "panel shows exemplar offset" true
-    (contains ~sub:"offset 4242" panel)
-
-(* The whole fleet record path — sketch + topk hit + exemplar challenge —
-   in steady state allocates nothing. *)
-let test_fleet_record_allocation_free () =
-  let p = Obs.Agg.part ~machine:"m0" () in
-  let ten = Obs.Agg.tenant p "alice" in
-  let spin () =
-    for i = 1 to 10_000 do
-      Obs.Agg.record p ten Obs.Trace.Req_end
-        ~latency:(1 + (i land 4095))
-        ~trace_id:i ~offset:(i * 64) ~ts:i
-    done
-  in
-  spin ();
-  let before = Gc.minor_words () in
-  spin ();
-  let delta = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "fleet record allocates nothing (%.0f words)" delta)
-    true (delta <= 32.0)
-
-(* Satellite: escape_label / escape_json round-trips, plus the new
-   OpenMetrics surface (# EOF terminator, # UNIT metadata, exemplar
-   syntax on sketch bucket lines). *)
+(* escape_label / escape_json round-trips, plus the OpenMetrics surface
+   of the per-kind family histogram. *)
 let unescape_label s =
   let buf = Buffer.create (String.length s) in
   let i = ref 0 in
@@ -2466,39 +1912,44 @@ let prop_audit_unescape_roundtrip =
     QCheck.string
     (fun s -> Obs.Audit.unescape (Obs.Wire.escape_json s) = s)
 
-let test_metrics_openmetrics_sketch () =
-  let sk = sketch_of (List.init 500 (fun i -> i + 1)) in
-  let ex = Obs.Exemplar.create () in
-  Obs.Exemplar.record ex ~latency:499 ~trace_id:0xBEEF ~machine:"m0"
-    ~offset:777 ~ts:123;
+(* The per-kind family histogram: log2 bands (value v in band
+   [bit length of v], bucket line at [2^b - 1]), empty bands omitted, the
+   +Inf/sum/count lines, and the closing # EOF. *)
+let test_metrics_family_histogram () =
+  let obs = Obs.Emitter.create () in
+  let family = Obs.Sketch.Family.attach obs (Obs.Sketch.Family.create ()) in
+  for v = 1 to 500 do
+    Obs.Emitter.emit obs Obs.Trace.Req_end ~ts:v ~arg:v
+  done;
   let reg = Obs.Metrics.create () in
-  Obs.Metrics.add reg ~label:"fleet" ~sketch:sk ~exemplar:ex ();
+  Obs.Metrics.add reg ~label:"m0" ~family ();
   let prom = Obs.Metrics.to_prometheus reg in
   Alcotest.(check bool) "ends with # EOF" true
     (let n = String.length prom in
      n >= 6 && String.sub prom (n - 6) 6 = "# EOF\n");
-  Alcotest.(check bool) "UNIT metadata" true
-    (contains ~sub:"# UNIT erebor_sketch_latency_cycles cycles" prom
-    && contains ~sub:"# UNIT erebor_sketch_quantile_cycles cycles" prom);
   Alcotest.(check bool) "TYPE metadata" true
-    (contains ~sub:"# TYPE erebor_sketch_latency_cycles histogram" prom
-    && contains ~sub:"# TYPE erebor_sketch_quantile_cycles summary" prom);
-  Alcotest.(check bool) "quantile series" true
-    (contains ~sub:{|erebor_sketch_quantile_cycles{source="fleet",quantile="0.99"}|}
-       prom);
-  Alcotest.(check bool) "exemplar on the 499 bucket line" true
-    (contains ~sub:{|# {trace_id="0xbeef",machine="m0",offset="777"} 499 123|}
-       prom);
+    (contains ~sub:"# TYPE erebor_event_arg histogram" prom);
+  let line suffix =
+    contains ~sub:({|erebor_event_arg|} ^ suffix ^ "\n") prom
+  in
+  let labels = {|{source="m0",kind="req.end"|} in
+  Alcotest.(check bool) "band 1 holds exactly the value 1" true
+    (line ("_bucket" ^ labels ^ {|,le="1"} 1|}));
+  Alcotest.(check bool) "band 9 closes the 500 samples" true
+    (line ("_bucket" ^ labels ^ {|,le="511"} 500|}));
+  Alcotest.(check bool) "empty band omitted" false
+    (contains ~sub:{|le="1023"|} prom);
   Alcotest.(check bool) "+Inf closes the histogram" true
-    (contains ~sub:{|erebor_sketch_latency_cycles_bucket{source="fleet",le="+Inf"} 500|}
-       prom);
+    (line ("_bucket" ^ labels ^ {|,le="+Inf"} 500|}));
+  Alcotest.(check bool) "sum" true (line ("_sum" ^ labels ^ "} 125250"));
+  Alcotest.(check bool) "count" true (line ("_count" ^ labels ^ "} 500"));
   let json = Obs.Metrics.to_json reg in
   match Workloads.Bench_gate.Json.parse json with
   | Error e -> Alcotest.failf "metrics JSON does not parse: %s" e
   | Ok _ ->
-      Alcotest.(check bool) "json carries sketch + exemplars" true
-        (contains ~sub:{|"sketch":{"alpha":0.01|} json
-        && contains ~sub:{|"trace_id":48879|} json)
+      Alcotest.(check bool) "json carries the bands" true
+        (contains ~sub:{|{"lo":1,"hi":1,"count":1}|} json
+        && contains ~sub:{|{"lo":256,"hi":511,"count":|} json)
 
 (* Journal frame offsets: what Writer.offset reported at record time is
    what the reader hands back in event.off, and it points at a SEGM
@@ -2615,36 +2066,12 @@ let () =
           Alcotest.test_case "abnormal exit flushes exports" `Quick
             test_finalize_on_abnormal_exit;
         ] );
-      ( "window",
-        [
-          Alcotest.test_case "rotation + aging" `Quick test_window_rotation;
-          Alcotest.test_case "merge-on-read percentiles" `Quick
-            test_window_percentile;
-          Alcotest.test_case "record path is allocation-free" `Quick
-            test_window_record_allocation_free;
-        ] );
-      ( "slo",
-        [
-          Alcotest.test_case "multi-window fire + hysteretic clear" `Quick
-            test_slo_fire_and_clear;
-          Alcotest.test_case "slow burn alone never fires" `Quick
-            test_slo_needs_both_windows;
-        ] );
-      ( "health",
-        [
-          Alcotest.test_case "stall ladder + recovery" `Quick
-            test_health_stall_ladder;
-          Alcotest.test_case "overrun + denial-spike watchdogs" `Quick
-            test_health_overrun_and_spike;
-        ] );
       ( "live",
         [
           Alcotest.test_case "live sinks never move the clock" `Quick
             test_live_sinks_clock_free;
           Alcotest.test_case "anchors byte-identical under telemetry" `Quick
             test_anchors_identical_under_telemetry;
-          Alcotest.test_case "abnormal exit snapshots the dash" `Quick
-            test_dash_snapshot_abnormal_exit;
         ] );
       ( "journal",
         [
@@ -2672,32 +2099,22 @@ let () =
             test_sketch_edges;
           Alcotest.test_case "request + query quantiles vs oracle" `Quick
             test_request_query_vs_oracle;
-          Alcotest.test_case "window reads vs one sketch" `Quick
-            test_window_vs_sketch;
           Alcotest.test_case "collapse + wire edges" `Quick
             test_sketch_collapse_and_edges;
           QCheck_alcotest.to_alcotest prop_sketch_merge_canonical;
+          Alcotest.test_case "family record path allocation-free" `Quick
+            test_family_record_zero_alloc;
         ] );
-      ( "topk", [ QCheck_alcotest.to_alcotest prop_topk_bounds ] );
       ( "wire",
         [
           Alcotest.test_case "known bytes + extreme values" `Quick
             test_wire_extremes;
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
         ] );
-      ( "fleet-agg",
-        [
-          Alcotest.test_case "exemplar reservoir" `Quick
-            test_exemplar_reservoir;
-          Alcotest.test_case "seeded spike attributable end-to-end" `Quick
-            test_agg_spike_attribution;
-          Alcotest.test_case "record path is allocation-free" `Quick
-            test_fleet_record_allocation_free;
-        ] );
       ( "openmetrics",
         [
-          Alcotest.test_case "sketch families + EOF + exemplars" `Quick
-            test_metrics_openmetrics_sketch;
+          Alcotest.test_case "family histogram + EOF" `Quick
+            test_metrics_family_histogram;
           QCheck_alcotest.to_alcotest prop_escape_label_roundtrip;
           QCheck_alcotest.to_alcotest prop_escape_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_audit_unescape_roundtrip;

@@ -364,19 +364,13 @@ let test_bench_gate_seeded_failure () =
         (Workloads.Bench_gate.pass missing_row)
 
 (* ------------------------------------------------------------------ *)
-(* Experiment gates: density, slo, attrib                              *)
+(* Experiment gates: density, attrib                                   *)
 (* ------------------------------------------------------------------ *)
 
 module G = Workloads.Bench_gate
 
-let check_named verdict name =
-  match List.find_opt (fun (c : G.check) -> c.G.name = name) verdict with
-  | Some c -> c
-  | None -> Alcotest.failf "no check named %s" name
-
 let test_density_smoke_rows () =
-  (* The smoke scaling rows pinned exactly: the tenant code shared with
-     the slo gate must reproduce them frame for frame and cycle for
+  (* The smoke scaling rows pinned exactly, frame for frame and cycle for
      cycle. *)
   let rows = Workloads.Density.scaling ~jobs:1 ~smoke:true () in
   let row backend n (conf, ptp, com) p99 violations =
@@ -415,40 +409,6 @@ let test_density_smoke_rows () =
         f.G.name;
       Alcotest.(check (option string)) "new side" (Some "1") f.G.new_value
   | fs -> Alcotest.failf "expected 1 failure, got %d" (List.length fs)
-
-let test_slo_checks () =
-  let r = Workloads.Slo_bench.run ~rounds:16 ~stall_rounds:3 () in
-  let verdict =
-    Workloads.Slo_bench.checks r ~clean:[ ("drugbank", []) ]
-  in
-  List.iter
-    (fun (c : G.check) ->
-      Alcotest.(check bool) (c.G.name ^ ": " ^ c.G.detail) true c.G.ok)
-    verdict;
-  (* 4 tenants x (alert, worst-state) + the stalled one's degraded-step,
-     the two bus checks, the audit chain and one clean run. *)
-  Alcotest.(check int) "check count" 13 (List.length verdict);
-  (* No stall: the seeded tenant's alert never fires, and the gate says
-     so by name. *)
-  let quiet = Workloads.Slo_bench.run ~rounds:16 ~stall_rounds:0 () in
-  let verdict = Workloads.Slo_bench.checks quiet ~clean:[] in
-  let alert = check_named verdict "slo/tenant-2/alert" in
-  Alcotest.(check bool) "unstalled run fails the seeded alert" false
-    alert.G.ok;
-  Alcotest.(check (option string)) "old/new"
-    (Some "fired") alert.G.old_value;
-  Alcotest.(check (option string)) "new" (Some "silent") alert.G.new_value;
-  (* A clean run that fired fails its own check. *)
-  let noisy =
-    Workloads.Slo_bench.checks r ~clean:[ ("yolo", [ "emc-rate" ]) ]
-  in
-  Alcotest.(check bool) "fired clean run fails" false
-    (check_named noisy "slo/clean/yolo").G.ok
-
-let test_slo_needs_two_tenants () =
-  Alcotest.check_raises "one tenant"
-    (Invalid_argument "Slo_bench.run: needs at least 2 tenants") (fun () ->
-      ignore (Workloads.Slo_bench.run ~tenants:1 ()))
 
 let test_attrib_checks () =
   let row total =
@@ -542,10 +502,6 @@ let () =
         [
           Alcotest.test_case "density smoke rows pinned" `Quick
             test_density_smoke_rows;
-          Alcotest.test_case "slo checks pass, and fail unstalled" `Quick
-            test_slo_checks;
-          Alcotest.test_case "slo needs two tenants" `Quick
-            test_slo_needs_two_tenants;
           Alcotest.test_case "attrib conservation check" `Quick
             test_attrib_checks;
           Alcotest.test_case "nearest-rank oracle" `Quick test_nearest_rank;
